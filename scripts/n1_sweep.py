@@ -3,6 +3,9 @@
 
 Runs the boundary enumeration across a range of truncation caps and emits
 one JSON line per cap, so stabilization can be checked by eye or by diff.
+The sweep walks the boundaries once, at the largest cap, before the first
+report, so the first line's ``seconds`` covers that single walk and each
+later line's covers only reading its own cap's report off it.
 
     python3 scripts/n1_sweep.py --set 0,1 --caps 20:60 --n-max 10
     python3 scripts/n1_sweep.py --set 0,1/2,2/3,3/4,5/6,1 --caps 12:48 --n-max 200 --witnesses
@@ -13,7 +16,7 @@ import json
 import sys
 import time
 
-from complements import MultSet, enumerate_N1
+from complements import MultSet, enumerate_N1_sweep
 
 
 def parse_caps(text: str) -> list[int]:
@@ -33,11 +36,10 @@ def main() -> int:
 
     R = MultSet.parse(args.set)
     previous = None
-    for cap in parse_caps(args.caps):
-        started = time.perf_counter()
-        report = enumerate_N1(R, cap, args.n_max)
+    started = time.perf_counter()
+    for report in enumerate_N1_sweep(R, parse_caps(args.caps), args.n_max):
         line = {
-            "m_max": cap,
+            "m_max": report.cap_used[0],
             "n_max": args.n_max,
             "indices": list(report.indices),
             "stable": previous == report.indices,
@@ -47,6 +49,7 @@ def main() -> int:
             line["witnesses"] = {str(i): w.to_json() for i, w in report.witnesses.items()}
         print(json.dumps(line))
         previous = report.indices
+        started = time.perf_counter()
     return 0
 
 

@@ -146,15 +146,9 @@ def _cmd_n1(args) -> None:
 
 def _cmd_n1_sweep(args) -> None:
     R = MultSet.parse(args.set)
-    for cap in _parse_int_list(args.m_max):
-        report = p1.enumerate_N1(R, cap, args.n_max)
-        _emit_json(
-            {
-                "m_max": cap,
-                "n_max": args.n_max,
-                "indices": list(report.indices),
-            }
-        )
+    for report in p1.enumerate_N1_sweep(R, _parse_int_list(args.m_max), args.n_max):
+        m_max, n_max = report.cap_used
+        _emit_json({"m_max": m_max, "n_max": n_max, "indices": list(report.indices)})
 
 
 def _cmd_diff(args) -> None:

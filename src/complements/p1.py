@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .hyperstandard import phi_enumerate
+from .hyperstandard import phi_contains, phi_enumerate
 from .rationals import BoundaryP1, DomainError, MultSet, PreconditionError, lcm_denominators
 
 
@@ -209,20 +210,26 @@ def scan_minimal_indices(
     whose minimal index exceeds the cap.
 
     The walk is depth-first over non-decreasing multiplicity tuples, so the
-    output order (and hence every witness downstream) is canonical.
-    Requirement sums are accumulated incrementally per candidate index.
+    output order (and hence every witness downstream) is canonical.  It
+    runs in integers: the degree tests compare the values scaled to their
+    common denominator, and each value's row of requirement numerators (one
+    per candidate index) is added to the running sums as it is pushed.
     """
     interval = lcm_denominators(R)
     values = [v for v in phi_enumerate(R, m_max) if v > 0]
     candidates = list(range(interval, n_max + 1, interval))
     if not candidates:
         raise PreconditionError(f"n_max={n_max} below I(R)={interval}")
+    unit = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (unit // v.denominator) for v in values]
+    two = 2 * unit
     req_rows = []
     for v in values:
-        row = tuple(point_requirement(v, n, ComplementVariant.DEFINITION) for n in candidates)
-        # Self-check: on phi(R) inputs with I(R) | n the two variants agree.
-        geq_row = tuple(point_requirement(v, n, ComplementVariant.GEQ) for n in candidates)
-        if row != geq_row:
+        p, q = v.numerator, v.denominator
+        # DEFINITION: n at d = 1, floor((n+1) d) below it.
+        row = candidates if p == q else [(n + 1) * p // q for n in candidates]
+        # Self-check: on phi(R) inputs with I(R) | n it equals GEQ, ceil(n d).
+        if row != [-(-n * p // q) for n in candidates]:
             raise AssertionError(f"variant mismatch at multiplicity {v}")
         req_rows.append(row)
     caps = [2 * n for n in candidates]
@@ -234,26 +241,101 @@ def scan_minimal_indices(
                 return candidates[j]
         return None
 
-    two = Fraction(2)
+    add = operator.add
     mults: list[Fraction] = []
-
-    def admissible(total: Fraction) -> bool:
-        return total == two or not mults or mults[-1] < 1
-
-    def rec(start: int, total: Fraction, sums: list[int]):
-        if admissible(total):
-            yield tuple(mults), min_index(sums)
-        for i in range(start, len(values)):
-            v = values[i]
-            new_total = total + v
-            if new_total > two:
-                break
-            mults.append(v)
-            row = req_rows[i]
-            yield from rec(i, new_total, [s + row[j] for j, s in enumerate(sums)])
+    # One (value index, degree, sums) per pushed value, to resume from.
+    stack: list[tuple[int, int, list[int]]] = []
+    i, total, sums = 0, 0, [0] * width
+    yield (), min_index(sums)
+    while True:
+        if i < len(values) and total + scaled[i] <= two:
+            stack.append((i, total, sums))
+            mults.append(values[i])
+            total += scaled[i]
+            sums = list(map(add, sums, req_rows[i]))
+            # Values are pushed in non-decreasing order: values[i] is the largest.
+            if total == two or scaled[i] < unit:
+                yield tuple(mults), min_index(sums)
+        elif stack:
+            i, total, sums = stack.pop()
             mults.pop()
+            i += 1
+        else:
+            return
 
-    yield from rec(0, Fraction(0), [0] * width)
+
+def _first_births(
+    R: MultSet, caps: list[int], n_max: int
+) -> dict[int | None, list[tuple[int, tuple[Fraction, ...]]]]:
+    """Walk once at ``max(caps)`` and keep, per minimal index (``None`` for
+    boundaries with no index), the boundaries in walk order whose birth cap
+    is below that of every earlier one, as ``(birth cap, mults)``."""
+    low = min(caps)
+    births: dict[Fraction, int] = {}
+
+    def birth(mults: tuple[Fraction, ...]) -> int:
+        # phi_contains picks the least r, hence the least m = r / (1 - v).
+        out = 1
+        for v in mults:
+            if v not in births:
+                births[v] = phi_contains(R, v).m
+            out = max(out, births[v])
+        return out
+
+    firsts: dict[int | None, list[tuple[int, tuple[Fraction, ...]]]] = {}
+    # Indices already witnessed at every cap; their later boundaries are moot.
+    settled: set[int | None] = set()
+    for mults, idx in scan_minimal_indices(R, max(caps), n_max):
+        if idx in settled:
+            continue
+        born = birth(mults)
+        entries = firsts.setdefault(idx, [])
+        if not entries or born < entries[-1][0]:
+            entries.append((born, mults))
+            if born <= low:
+                settled.add(idx)
+                if idx is None:  # every cap fails by now
+                    break
+    return firsts
+
+
+def enumerate_N1_sweep(
+    R: MultSet, m_maxes: Iterable[int], n_max: int
+) -> Iterator[N1Report]:
+    """Yield the enumeration's report at each truncation cap, in the given order.
+
+    One walk, at the largest cap, serves every cap.  A value of phi(R) is
+    born at the least m with ``1 - r/m`` equal to it over all r in R (the
+    value 1, from r = 0, at m = 1), and a boundary exists at cap c exactly
+    when its values are all born by c.  The cap-c walk is the big walk
+    restricted to those boundaries, in the same order, and a boundary's
+    minimal index does not depend on the cap.  So the first witness of an
+    index at cap c, and the first boundary without one, are the first
+    boundaries of the big walk born by c.
+
+    Each cap behaves as :func:`enumerate_N1` at that cap: the reports before
+    the first failing cap are yielded, and then its error is raised.
+    """
+    caps = list(m_maxes)
+    if caps and not any(r > 0 for r in R):
+        raise PreconditionError("R must contain a positive element")
+    firsts = None
+    for cap in caps:
+        if cap < 1:
+            raise PreconditionError(f"m_max={cap} must be >= 1")
+        if firsts is None:
+            firsts = _first_births(R, [c for c in caps if c >= 1], n_max)
+        found = {
+            idx: next(mults for born, mults in entries if born <= cap)
+            for idx, entries in firsts.items()
+            if entries[-1][0] <= cap
+        }
+        if None in found:
+            raise EnumerationCapError(found[None], n_max)
+        order = sorted(found)
+        yield N1Report(
+            tuple(order), {i: BoundaryP1.from_mults(found[i]) for i in order}, (cap, n_max)
+        )
 
 
 def enumerate_N1(R: MultSet, m_max: int, n_max: int) -> N1Report:
@@ -261,21 +343,6 @@ def enumerate_N1(R: MultSet, m_max: int, n_max: int) -> N1Report:
 
     Reports the truncation caps it ran under; acceptance of the result is a
     stabilization statement across caps, never a single-run truth claim.
+    This is the one-cap case of :func:`enumerate_N1_sweep`.
     """
-    if not any(r > 0 for r in R):
-        raise PreconditionError("R must contain a positive element")
-    witnesses: dict[int, BoundaryP1] = {}
-    for mults, idx in scan_minimal_indices(R, m_max, n_max):
-        if idx is None:
-            raise EnumerationCapError(mults, n_max)
-        if idx not in witnesses:
-            witnesses[idx] = BoundaryP1.from_mults(mults)
-    order = sorted(witnesses)
-    return N1Report(tuple(order), {i: witnesses[i] for i in order}, (m_max, n_max))
-
-
-def enumerate_N1_sweep(
-    R: MultSet, m_maxes: Iterable[int], n_max: int
-) -> list[N1Report]:
-    """Run the enumeration once per truncation cap, in the given order."""
-    return [enumerate_N1(R, m, n_max) for m in m_maxes]
+    return next(enumerate_N1_sweep(R, [m_max], n_max))

@@ -431,26 +431,74 @@ def test_criterion_6_diophantine():
 
 
 FLOAT_SINKS = {"sqrt", "exp", "log", "log2", "log10", "pow", "sin", "cos", "tan", "hypot"}
+INT_CALLS = {"floor", "ceil", "lcm", "gcd"}
+
+
+def _int_by_syntax(node):
+    """Whether the expression is an int whatever its operands hold: an int
+    literal, ``len(...)``, ``math.floor/ceil/lcm/gcd(...)``, a ``//`` result,
+    or one of these negated."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int
+    if isinstance(node, ast.UnaryOp):
+        return _int_by_syntax(node.operand)
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, ast.FloorDiv)
+    if isinstance(node, ast.Call):
+        fn = node.func
+        if isinstance(fn, ast.Name):
+            return fn.id == "len"
+        return (
+            isinstance(fn, ast.Attribute)
+            and isinstance(fn.value, ast.Name)
+            and fn.value.id == "math"
+            and fn.attr in INT_CALLS
+        )
+    return False
+
+
+def audit_exactness(source, name):
+    """Raise AssertionError at the first floating-point code path in the source."""
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            raise AssertionError(f"float literal {node.value} in {name}")
+        if isinstance(node, ast.Name) and node.id == "float":
+            raise AssertionError(f"float conversion in {name}")
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr in FLOAT_SINKS
+        ):
+            raise AssertionError(f"math.{node.attr} in {name}")
+        # Fraction division is exact; int / int is a float.
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Div)
+            and _int_by_syntax(node.left)
+            and _int_by_syntax(node.right)
+        ):
+            raise AssertionError(f"int / int division in {name}, line {node.lineno}")
 
 
 def test_criterion_6_exactness_audit():
     def check():
         pkg_dir = pathlib.Path(complements.__file__).parent
         for path in sorted(pkg_dir.glob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Constant) and isinstance(node.value, float):
-                    raise AssertionError(f"float literal {node.value} in {path.name}")
-                if isinstance(node, ast.Name) and node.id == "float":
-                    raise AssertionError(f"float conversion in {path.name}")
-                if (
-                    isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "math"
-                    and node.attr in FLOAT_SINKS
-                ):
-                    raise AssertionError(f"math.{node.attr} in {path.name}")
-                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-                    pass  # Fraction division is exact; int/int never appears unchecked
+            audit_exactness(path.read_text(), path.name)
 
     _report("criterion 6b (no floating-point code path in the package)", check)
+
+
+@pytest.mark.parametrize(
+    "inexact, exact",
+    [
+        ("x = len(parts) / 2", "x = Fraction(len(parts)) / 2"),
+        ("x = math.floor(t) / (n // k)", "x = math.floor(t) / Fraction(n // k)"),
+        ("x = -1 / math.lcm(a, b)", "x = Fraction(-1) / math.lcm(a, b)"),
+    ],
+)
+def test_exactness_audit_flags_int_division(inexact, exact):
+    with pytest.raises(AssertionError, match="int / int division"):
+        audit_exactness(inexact, "snippet.py")
+    audit_exactness(exact, "snippet.py")

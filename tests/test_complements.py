@@ -272,7 +272,7 @@ class TestEnumerateN1:
             assert idx == oracle_min_index(mults, 1, 10, DEF)
 
     def test_sweep_shape(self):
-        reports = enumerate_N1_sweep(MultSet([0, 1]), [8, 12, 16], 10)
+        reports = list(enumerate_N1_sweep(MultSet([0, 1]), [8, 12, 16], 10))
         assert [r.cap_used[0] for r in reports] == [8, 12, 16]
         assert all(r.indices == (1, 2, 3, 4, 6) for r in reports)
 

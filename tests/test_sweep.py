@@ -1,0 +1,192 @@
+"""The one-walk cap sweep and the integer walk against their per-cap originals.
+
+``fraction_scan`` is the walk as it ran in ``Fraction`` arithmetic, one
+value at a time, and ``per_cap_sweep`` runs the enumeration afresh at each
+cap on top of it.  The library's integer walk and single-walk sweep must
+reproduce both exactly: same boundaries in the same order, same reports,
+and the same error at the same place.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from complements import (
+    BoundaryP1,
+    ComplementVariant,
+    EnumerationCapError,
+    MultSet,
+    N1Report,
+    PreconditionError,
+    enumerate_N1_sweep,
+    lcm_denominators,
+    phi_enumerate,
+    point_requirement,
+    scan_minimal_indices,
+)
+from complements.cli import run
+
+F = Fraction
+DEF = ComplementVariant.DEFINITION
+GEQ = ComplementVariant.GEQ
+TWELVE_SET = MultSet.parse("0,1/2,2/3,3/4,5/6,1")
+
+
+def fraction_scan(R, m_max, n_max):
+    """The recursive walk in exact Fraction arithmetic."""
+    interval = lcm_denominators(R)
+    values = [v for v in phi_enumerate(R, m_max) if v > 0]
+    candidates = list(range(interval, n_max + 1, interval))
+    if not candidates:
+        raise PreconditionError(f"n_max={n_max} below I(R)={interval}")
+    req_rows = []
+    for v in values:
+        row = tuple(point_requirement(v, n, DEF) for n in candidates)
+        assert row == tuple(point_requirement(v, n, GEQ) for n in candidates)
+        req_rows.append(row)
+    caps = [2 * n for n in candidates]
+
+    def min_index(sums):
+        for j, n in enumerate(candidates):
+            if sums[j] <= caps[j]:
+                return n
+        return None
+
+    two = F(2)
+    mults = []
+
+    def rec(start, total, sums):
+        if total == two or not mults or mults[-1] < 1:
+            yield tuple(mults), min_index(sums)
+        for i in range(start, len(values)):
+            new_total = total + values[i]
+            if new_total > two:
+                break
+            mults.append(values[i])
+            yield from rec(i, new_total, [s + r for s, r in zip(sums, req_rows[i])])
+            mults.pop()
+
+    yield from rec(0, F(0), [0] * len(candidates))
+
+
+def per_cap_enumerate(R, m_max, n_max):
+    """The enumeration run on its own at one cap, over ``fraction_scan``."""
+    if not any(r > 0 for r in R):
+        raise PreconditionError("R must contain a positive element")
+    witnesses = {}
+    for mults, idx in fraction_scan(R, m_max, n_max):
+        if idx is None:
+            raise EnumerationCapError(mults, n_max)
+        witnesses.setdefault(idx, BoundaryP1.from_mults(mults))
+    order = sorted(witnesses)
+    return N1Report(tuple(order), {i: witnesses[i] for i in order}, (m_max, n_max))
+
+
+def outcomes(reports):
+    """Each report as plain data, then the error that ended the run, if any."""
+    out = []
+    try:
+        for report in reports:
+            out.append(("report", report.indices, report.to_json(), report.cap_used))
+    except EnumerationCapError as exc:
+        out.append(("cap error", str(exc), exc.mults, exc.n_max))
+    except PreconditionError as exc:
+        out.append(("precondition", str(exc)))
+    return out
+
+
+def per_cap_sweep(R, caps, n_max):
+    return (per_cap_enumerate(R, cap, n_max) for cap in caps)
+
+
+def random_set(rng):
+    """``{0, 1}`` and one or two values ``p/d`` with ``d <= 6``."""
+    extra = set()
+    for _ in range(rng.randint(1, 2)):
+        d = rng.randint(2, 6)
+        extra.add(F(rng.randint(1, d - 1), d))
+    return MultSet([0, 1, *extra])
+
+
+def random_caps(rng):
+    caps = [rng.randint(1, 9) for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.5:
+        caps.append(rng.choice(caps))  # a repeated cap
+    if rng.random() < 0.3:
+        caps.insert(rng.randrange(len(caps) + 1), rng.choice([0, -2]))  # an invalid cap
+    rng.shuffle(caps)
+    return caps
+
+
+class TestIntegerWalk:
+    @pytest.mark.parametrize(
+        "R, m_max, n_max, size",
+        [
+            (MultSet([0, 1]), 20, 10, None),
+            (MultSet([0, 1]), 20, 5, None),  # some boundaries have no index
+            (TWELVE_SET, 12, 200, None),
+            (TWELVE_SET, 48, 200, 26869),
+        ],
+    )
+    def test_matches_fraction_walk(self, R, m_max, n_max, size):
+        got = list(scan_minimal_indices(R, m_max, n_max))
+        assert got == list(fraction_scan(R, m_max, n_max))
+        assert size is None or len(got) == size
+        assert all(isinstance(d, Fraction) for mults, _ in got for d in mults)
+
+    def test_matches_fraction_walk_on_random_sets(self):
+        rng = random.Random(20060624)
+        for _ in range(12):
+            R = random_set(rng)
+            I = lcm_denominators(R)
+            m_max, n_max = rng.randint(1, 14), I * rng.randint(1, 8)
+            assert list(scan_minimal_indices(R, m_max, n_max)) == list(
+                fraction_scan(R, m_max, n_max)
+            ), (R, m_max, n_max)
+
+
+class TestOneWalkSweep:
+    def test_matches_per_cap_runs(self):
+        rng = random.Random(606242)
+        kinds = set()
+        for _ in range(60):
+            R = random_set(rng)
+            caps = random_caps(rng)
+            n_max = lcm_denominators(R) * rng.randint(1, 6) - rng.randint(0, 1)
+            want = outcomes(per_cap_sweep(R, caps, n_max))
+            assert outcomes(enumerate_N1_sweep(R, caps, n_max)) == want, (R, caps, n_max)
+            kinds.update(entry[0] for entry in want)
+        assert kinds == {"report", "cap error", "precondition"}
+
+    @pytest.mark.parametrize(
+        "R, caps, n_max",
+        [
+            (MultSet([0, 1]), [4, 2, 4, 9, 20, 3], 5),  # fails from cap 5 on, after 3 reports
+            (MultSet([0, 1]), [3, 0, 4], 5),
+            (MultSet([0, 1, F(1, 2)]), [5, 2], 1),  # n_max below I(R) = 2
+            (MultSet([0]), [2], 5),  # no positive element
+            (MultSet([0]), [], 5),
+            (TWELVE_SET, [30, 12, 48, 12, 13], 200),
+        ],
+    )
+    def test_named_cases(self, R, caps, n_max):
+        assert outcomes(enumerate_N1_sweep(R, caps, n_max)) == outcomes(
+            per_cap_sweep(R, caps, n_max)
+        )
+
+
+class TestSweepCli:
+    @pytest.mark.parametrize(
+        "caps, first, error",
+        [
+            ("2,20,4", '{"m_max":2,"n_max":5,"indices":[1,2]}',
+             "error: no admissible index <= 5 for boundary (1/2, 2/3, 4/5)"),
+            ("3,0,4", '{"m_max":3,"n_max":5,"indices":[1,2,3]}',
+             "error: m_max=0 must be >= 1"),
+        ],
+    )
+    def test_output_before_an_error(self, capsys, caps, first, error):
+        code = run(["n1-sweep", "--set", "0,1", "--m-max", caps, "--n-max", "5"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, first + "\n", error + "\n")
