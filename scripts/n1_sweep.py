@@ -17,13 +17,14 @@ import sys
 import time
 
 from complements import MultSet, enumerate_N1_sweep
+from complements.rationals import parse_int, split_items
 
 
 def parse_caps(text: str) -> list[int]:
     if ":" in text:
         lo, _, hi = text.partition(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",") if p.strip()]
+        return list(range(parse_int(lo), parse_int(hi) + 1))
+    return [parse_int(p) for p in split_items(text)]
 
 
 def main() -> int:

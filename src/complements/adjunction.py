@@ -16,7 +16,16 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .hyperstandard import PhiWitness, closure, phi_contains, phi_eps_contains
-from .rationals import DomainError, MultSet, PreconditionError, parse_rational
+from .rationals import (
+    DomainError,
+    MultSet,
+    PreconditionError,
+    exact,
+    exact_unit,
+    parse_int,
+    parse_rational,
+    split_items,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -32,11 +41,12 @@ class DiffInput:
     def __post_init__(self):
         if self.n < 1:
             raise PreconditionError(f"germ index n={self.n} must be positive")
+        terms = []
         for k, b in self.terms:
             if k < 0:
                 raise PreconditionError(f"intersection number k={k} must be >= 0")
-            if not (0 <= b <= 1):
-                raise PreconditionError(f"boundary multiplicity {b} outside [0, 1]")
+            terms.append((k, exact_unit(b, "boundary multiplicity ")))
+        object.__setattr__(self, "terms", tuple(terms))
 
 
 def diff_multiplicity(inp: DiffInput) -> Fraction:
@@ -72,8 +82,7 @@ def diff_in_hyperstandard(R: MultSet, eps: Fraction, inp: DiffInput) -> DiffMemb
     """
     if Fraction(1) not in R:
         raise PreconditionError("the multiplicity set must contain 1")
-    if not (0 <= eps <= 1):
-        raise PreconditionError(f"eps={eps} outside [0, 1]")
+    eps = exact_unit(eps, "eps=")
     for k, b in inp.terms:
         if k > 0 and not phi_eps_contains(R, eps, b):
             raise DomainError(f"multiplicity {b} is not semi-hyperstandard over R")
@@ -106,21 +115,23 @@ class FiberGerm:
     def __post_init__(self):
         if not self.components:
             raise PreconditionError("fibre germ must have at least one component")
+        comps = []
         for mu, d in self.components:
             if mu < 1:
                 raise PreconditionError(f"fibre multiplicity {mu} must be >= 1")
+            d = exact(d)
             if d > 1:
                 raise PreconditionError(f"boundary multiplicity {d} exceeds 1")
+            comps.append((mu, d))
+        object.__setattr__(self, "components", tuple(comps))
 
     @classmethod
     def parse(cls, text: str) -> "FiberGerm":
         """Parse ``"mu:d,mu:d,..."`` such as ``"1:0,2:-1,3:-2,6:-4"``."""
         comps = []
-        for item in (p.strip() for p in text.split(",")):
-            if not item:
-                continue
+        for item in split_items(text):
             mu, _, d = item.partition(":")
-            comps.append((int(mu), parse_rational(d)))
+            comps.append((parse_int(mu), parse_rational(d)))
         return cls(tuple(comps))
 
     def to_json(self) -> list[list[str]]:
@@ -144,6 +155,7 @@ def lct_over_divisor(germ: FiberGerm) -> LcThreshold:
 
 def divisorial_shift(germ: FiberGerm, c: Fraction) -> FiberGerm:
     """Add ``c`` times the pulled-back fibre to the boundary."""
+    c = exact(c)
     return FiberGerm(tuple((mu, d + c * mu) for mu, d in germ.components))
 
 
@@ -163,7 +175,7 @@ def germ_from_blowups(
     i.e. the fibre multiplicity adds up along total transforms while the
     crepant boundary drops by the discrepancy of the blowup.
     """
-    comps: list[tuple[int, Fraction]] = [(mu, Fraction(d)) for mu, d in initial]
+    comps: list[tuple[int, Fraction]] = [(mu, exact(d)) for mu, d in initial]
     for step in steps:
         mu_new = 0
         d_new = Fraction(-1)
@@ -178,7 +190,19 @@ def germ_from_blowups(
 # ---------------------------------------------------------------------------
 # Degenerate elliptic fibres
 
-_KODAIRA_TAGS = ("mI_n", "II", "III", "IV", "Istar", "IIstar", "IIIstar", "IVstar")
+# tag -> (discriminant multiplicity d_P, snc resolution germ as (mu, d)
+# pairs).  The starred types and IV are snc already, with Kodaira's component
+# multiplicities and trivial boundary; II and III need blowups of the cusp
+# and the tangency.  The one computed row, mI_n, is in _kodaira_row.
+_KODAIRA = {
+    "II": (Fraction(1, 6), ((1, 0), (2, -1), (3, -2), (6, -4))),
+    "III": (Fraction(1, 4), ((1, 0), (1, 0), (2, -1), (4, -2))),
+    "IV": (Fraction(1, 3), ((1, 0), (1, 0), (1, 0), (3, -1))),
+    "Istar": (Fraction(1, 2), ((1, 0), (1, 0), (1, 0), (1, 0), (2, 0))),
+    "IIstar": (Fraction(5, 6), ((1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (4, 0), (2, 0), (3, 0))),
+    "IIIstar": (Fraction(3, 4), ((1, 0), (2, 0), (3, 0), (4, 0), (3, 0), (2, 0), (1, 0), (2, 0))),
+    "IVstar": (Fraction(2, 3), ((1, 0), (1, 0), (1, 0), (2, 0), (2, 0), (2, 0), (3, 0))),
+}
 
 
 @dataclass(frozen=True)
@@ -189,7 +213,7 @@ class KodairaType:
     m: int = 1
 
     def __post_init__(self):
-        if self.tag not in _KODAIRA_TAGS:
+        if self.tag != "mI_n" and self.tag not in _KODAIRA:
             raise DomainError(f"unknown fibre type {self.tag!r}")
         if self.m < 1:
             raise PreconditionError(f"fibre multiplicity m={self.m} must be >= 1")
@@ -203,51 +227,33 @@ class KodairaType:
             _, _, m = s.partition(":")
             if not m:
                 raise DomainError("multiple-fibre type needs a multiplicity, e.g. mI_n:2")
-            return cls("mI_n", int(m))
+            return cls("mI_n", parse_int(m))
         return cls(s)
 
     def __str__(self) -> str:
         return f"mI_n:{self.m}" if self.tag == "mI_n" else self.tag
 
 
+def _kodaira_row(t: KodairaType) -> tuple[Fraction, tuple[tuple[int, int], ...]]:
+    if t.tag == "mI_n":
+        # nodal representative (n = 1): one blowup of the node
+        return 1 - Fraction(1, t.m), ((t.m, 0), (2 * t.m, -1))
+    return _KODAIRA[t.tag]
+
+
 def kodaira_dP(t: KodairaType) -> Fraction:
     """Discriminant multiplicity of the fibre type."""
-    if t.tag == "mI_n":
-        return 1 - Fraction(1, t.m)
-    return {
-        "II": Fraction(1, 6),
-        "III": Fraction(1, 4),
-        "IV": Fraction(1, 3),
-        "Istar": Fraction(1, 2),
-        "IIstar": Fraction(5, 6),
-        "IIIstar": Fraction(3, 4),
-        "IVstar": Fraction(2, 3),
-    }[t.tag]
+    return _kodaira_row(t)[0]
 
 
 def kodaira_resolution_germ(t: KodairaType) -> FiberGerm:
     """An snc germ realising the fibre type, for the threshold cross-check.
 
-    The starred types and IV are snc already, with Kodaira's component
-    multiplicities and trivial boundary.  Types mI_n (nodal representative,
-    n = 1), II and III need blowups of the node, the cusp and the tangency
-    respectively; the stored pairs are regenerated by the blowup oracle
-    :func:`germ_from_blowups` in the test suite.
+    The stored pairs are regenerated by the blowup oracle
+    :func:`germ_from_blowups` in the test suite and in
+    ``scripts/kodaira_germs.py``.
     """
-    zero = Fraction(0)
-    if t.tag == "mI_n":
-        m = t.m
-        return FiberGerm(((m, zero), (2 * m, Fraction(-1))))
-    data = {
-        "II": ((1, 0), (2, -1), (3, -2), (6, -4)),
-        "III": ((1, 0), (1, 0), (2, -1), (4, -2)),
-        "IV": ((1, 0), (1, 0), (1, 0), (3, -1)),
-        "Istar": ((1, 0), (1, 0), (1, 0), (1, 0), (2, 0)),
-        "IIstar": ((1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (4, 0), (2, 0), (3, 0)),
-        "IIIstar": ((1, 0), (2, 0), (3, 0), (4, 0), (3, 0), (2, 0), (1, 0), (2, 0)),
-        "IVstar": ((1, 0), (1, 0), (1, 0), (2, 0), (2, 0), (2, 0), (3, 0)),
-    }[t.tag]
-    return FiberGerm(tuple((mu, Fraction(d)) for mu, d in data))
+    return FiberGerm(_kodaira_row(t)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +320,13 @@ def moduli_degree_ruled(e: int, sections: Iterable[tuple[Fraction, Fraction]]) -
     """
     if e < 0:
         raise PreconditionError(f"ruling invariant e={e} must be >= 0")
-    secs = [(Fraction(d), Fraction(a)) for d, a in sections]
+    secs = [(exact(d), exact(a)) for d, a in sections]
     if len(secs) != 4:
         raise PreconditionError(f"expected exactly 4 sections, got {len(secs)}")
     if sum(d for d, _ in secs) != 2:
         raise PreconditionError("section multiplicities must sum to 2")
     for d, a in secs:
-        if not (0 <= d <= 1):
-            raise PreconditionError(f"section multiplicity {d} outside [0, 1]")
+        exact_unit(d, "section multiplicity ")
         if a < 0:
             raise PreconditionError(f"section offset {a} must be >= 0")
     if sum(1 for _, a in secs if a < e) > 1:
@@ -341,11 +346,9 @@ class PairDiscrepancy(NamedTuple):
 def pair_discr_bound(lambdas: Iterable[Fraction], eps: Fraction) -> PairDiscrepancy:
     """Check ``sum lambda_i <= 2 - eps`` and report the blowup discrepancy
     ``1 - sum lambda_i`` of the point the curves pass through."""
+    eps = exact(eps)
     if eps < 0:
         raise PreconditionError(f"eps={eps} must be >= 0")
-    ls = [Fraction(x) for x in lambdas]
-    for x in ls:
-        if not (0 <= x <= 1):
-            raise PreconditionError(f"multiplicity {x} outside [0, 1]")
+    ls = [exact_unit(x, "multiplicity ") for x in lambdas]
     total = sum(ls, Fraction(0))
     return PairDiscrepancy(total, total <= 2 - eps, 1 - total)

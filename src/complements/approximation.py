@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .p1 import openness_radius
-from .rationals import BoundaryP1, DomainError, PreconditionError
+from .rationals import DomainError, PreconditionError, exact, exact_unit
 
 
 @dataclass(frozen=True)
@@ -55,6 +54,7 @@ def quality_bound_holds(error: Fraction, r: int, q: int) -> bool:
     """
     if r < 1 or q < 1:
         raise PreconditionError("dimension and denominator must be positive")
+    error = exact(error)
     return error.numerator**r * (r + 1) ** r * q ** (r + 1) < error.denominator**r
 
 
@@ -71,14 +71,12 @@ def simultaneous_approx(b: Sequence[Fraction], q_max: int) -> ApproxResult:
     so the scan is total whenever ``q_max`` reaches it; otherwise the best
     denominator found is reported in the error.
     """
-    bs = [Fraction(x) for x in b]
+    bs = list(b)
     if not bs:
         raise PreconditionError("empty multiplicity vector")
     if q_max < 2:
         raise PreconditionError(f"q_max={q_max} must be >= 2")
-    for x in bs:
-        if not (0 <= x <= 1):
-            raise PreconditionError(f"multiplicity {x} outside [0, 1]")
+    bs = [exact_unit(x, "multiplicity ") for x in bs]
     r = len(bs)
     pairs = [(x.numerator, x.denominator) for x in bs]
     best: tuple[Fraction, ApproxResult] | None = None
@@ -106,7 +104,7 @@ def verify_floor_claim(b0: Sequence[Fraction], approx: ApproxResult, N: int) -> 
     1 are exempt.  This is the inequality that lets a complement of the
     approximation serve the original boundary.
     """
-    b0s = [Fraction(x) for x in b0]
+    b0s = [exact(x) for x in b0]
     if len(b0s) != len(approx.numerators):
         raise PreconditionError("approximation does not align with the boundary vector")
     if N < 1:
@@ -118,9 +116,3 @@ def verify_floor_claim(b0: Sequence[Fraction], approx: ApproxResult, N: int) -> 
         if math.floor((q * N + 1) * x0) > N * m:
             return False
     return True
-
-
-def equiv_radius(b0: BoundaryP1, n: int) -> Fraction:
-    """Openness radius of the complement condition; see
-    :func:`complements.p1.openness_radius`."""
-    return openness_radius(b0, n)

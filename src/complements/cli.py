@@ -19,7 +19,9 @@ from .rationals import (
     MultSet,
     format_rational,
     lcm_denominators,
+    parse_int,
     parse_rational,
+    split_items,
 )
 
 
@@ -35,19 +37,9 @@ def _fmt_indices(indices) -> str:
     return "{" + ",".join(str(i) for i in indices) + "}"
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
-
-
-def _parse_rational_list(text: str) -> list[Fraction]:
-    return [parse_rational(p) for p in text.split(",") if p.strip()]
-
-
 def _parse_pairs(text: str, what: str) -> list[tuple[str, str]]:
     pairs = []
-    for item in (p.strip() for p in text.split(",")):
-        if not item:
-            continue
+    for item in split_items(text):
         left, sep, right = item.partition(":")
         if not sep:
             raise DomainError(f"malformed {what} entry {item!r} (expected a:b)")
@@ -98,7 +90,7 @@ def _cmd_closure(args) -> None:
 
 def _cmd_rn(args) -> None:
     R = MultSet.parse(args.set)
-    ns = _parse_int_list(args.n)
+    ns = [parse_int(p) for p in split_items(args.n)]
     out = hyperstandard.r_n_set(R, ns[0]) if len(ns) == 1 else hyperstandard.r_prime(R, ns)
     _emit_json(out.to_json()) if args.json else print(_fmt_set(out))
 
@@ -146,14 +138,14 @@ def _cmd_n1(args) -> None:
 
 def _cmd_n1_sweep(args) -> None:
     R = MultSet.parse(args.set)
-    for report in p1.enumerate_N1_sweep(R, _parse_int_list(args.m_max), args.n_max):
+    for report in p1.enumerate_N1_sweep(R, [parse_int(p) for p in split_items(args.m_max)], args.n_max):
         m_max, n_max = report.cap_used
         _emit_json({"m_max": m_max, "n_max": n_max, "indices": list(report.indices)})
 
 
 def _cmd_diff(args) -> None:
     terms = tuple(
-        (int(k), parse_rational(b)) for k, b in _parse_pairs(args.terms or "", "term")
+        (parse_int(k), parse_rational(b)) for k, b in _parse_pairs(args.terms or "", "term")
     )
     inp = adjunction.DiffInput(args.n, terms)
     d = adjunction.diff_multiplicity(inp)
@@ -215,7 +207,7 @@ def _cmd_ruled_moduli(args) -> None:
 
 def _cmd_pair_discr(args) -> None:
     eps = parse_rational(args.eps) if args.eps is not None else Fraction(0)
-    out = adjunction.pair_discr_bound(_parse_rational_list(args.lambdas), eps)
+    out = adjunction.pair_discr_bound([parse_rational(p) for p in split_items(args.lambdas)], eps)
     if args.json:
         _emit_json(
             {
@@ -232,11 +224,11 @@ def _cmd_pair_discr(args) -> None:
 
 
 def _cmd_approx(args) -> None:
-    b = _parse_rational_list(args.b)
+    b = [parse_rational(p) for p in split_items(args.b)]
     result = approximation.simultaneous_approx(b, args.q_max)
     claim = None
     if args.floor_n is not None:
-        b0 = _parse_rational_list(args.b0) if args.b0 else b
+        b0 = [parse_rational(p) for p in split_items(args.b0)] if args.b0 else b
         claim = approximation.verify_floor_claim(b0, result, args.floor_n)
     if args.json:
         payload = result.to_json()
@@ -363,10 +355,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         args.handler(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .rationals import MultSet, PreconditionError, lcm_denominators
+from .rationals import MultSet, PreconditionError, exact, exact_unit, lcm_denominators
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,6 @@ class ClosureElement:
             raise PreconditionError(f"invalid closure element: {self}")
 
 
-def _check_unit(name: str, x: Fraction) -> None:
-    if not (0 <= x <= 1):
-        raise PreconditionError(f"{name}={x} outside [0, 1]")
-
-
 def phi_contains(R: MultSet, a: Fraction) -> PhiWitness | None:
     """Decide ``a in phi(R)``, returning a witness ``(r, m)`` if one exists.
 
@@ -79,7 +74,7 @@ def phi_contains(R: MultSet, a: Fraction) -> PhiWitness | None:
     tested for ``m = r / (1 - a)`` being a positive integer.  The smallest
     admissible r wins, which makes the witness deterministic.
     """
-    _check_unit("a", a)
+    a = exact_unit(a, "a=")
     if a == 1:
         return PhiWitness(Fraction(1), Fraction(0), 1) if Fraction(0) in R else None
     gap = 1 - a
@@ -111,8 +106,8 @@ def phi_enumerate(R: MultSet, m_max: int) -> MultSet:
 
 def phi_eps_contains(R: MultSet, eps: Fraction, a: Fraction) -> bool:
     """Membership in ``phi(R) union [1-eps, 1]``."""
-    _check_unit("eps", eps)
-    _check_unit("a", a)
+    eps = exact_unit(eps, "eps=")
+    a = exact_unit(a, "a=")
     return a >= 1 - eps or phi_contains(R, a) is not None
 
 
@@ -198,6 +193,7 @@ def pn_contains(n: int, a: Fraction) -> bool:
     """The floor criterion: 0 <= a <= 1 and ``floor((n+1)a) >= n*a``."""
     if n < 1:
         raise PreconditionError(f"n={n} must be >= 1")
+    a = exact(a)
     if a < 0 or a > 1:
         return False
     return math.floor((n + 1) * a) >= n * a
@@ -214,6 +210,7 @@ def pn_lemma_check(R: MultSet, n: int, eps: Fraction, m_max: int) -> bool:
     interval = lcm_denominators(R)
     if n % interval != 0:
         raise PreconditionError(f"I(R)={interval} does not divide n={n}")
+    eps = exact(eps)
     if not (0 <= eps <= Fraction(1, n + 1)):
         raise PreconditionError(f"eps={eps} outside [0, 1/{n + 1}]")
     return all(pn_contains(n, a) for a in phi_enumerate(R, m_max))

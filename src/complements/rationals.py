@@ -2,7 +2,9 @@
 
 Every quantity in this package is an exact ``fractions.Fraction``.  There is
 no floating point anywhere: all comparisons, floors and thresholds are
-evaluated in arbitrary-precision integer arithmetic.
+evaluated in arbitrary-precision integer arithmetic.  Caller input enters
+through one boundary: :func:`exact` and :func:`exact_unit` for scalars,
+:func:`parse_int`, :func:`parse_rational` and :func:`split_items` for text.
 """
 
 from __future__ import annotations
@@ -11,10 +13,6 @@ import math
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator
-
-# The scalar type used throughout.  Always stored in lowest terms with a
-# positive denominator, which Fraction guarantees.
-Rational = Fraction
 
 
 class DomainError(ValueError):
@@ -47,7 +45,25 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def _coerce(value) -> Fraction:
+def parse_int(text: str) -> int:
+    """Parse an integer by ``int``'s rules, the ones argparse's integer flags use."""
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"malformed integer: {text!r}") from None
+
+
+def split_items(text: str) -> list[str]:
+    """The stripped, nonempty items of a comma-separated list."""
+    return [s for s in (p.strip() for p in text.split(",")) if s]
+
+
+def exact(value) -> Fraction:
+    """The package's one input boundary for scalars.
+
+    Takes a Fraction, an int or ``"p/q"`` text; anything else (a float, a
+    Decimal, decimal text) raises, so no inexact value reaches the arithmetic.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -57,10 +73,15 @@ def _coerce(value) -> Fraction:
     raise DomainError(f"not an exact rational: {value!r}")
 
 
-def _coerce_unit(value) -> Fraction:
-    x = _coerce(value)
+def exact_unit(value, name: str) -> Fraction:
+    """:func:`exact`, then the ``[0, 1]`` check.
+
+    ``name`` is the text before the value in the error, such as ``"eps="``
+    or ``"multiplicity "``.
+    """
+    x = exact(value)
     if x < 0 or x > 1:
-        raise DomainError(f"multiplicity {x} outside [0, 1]")
+        raise PreconditionError(f"{name}{x} outside [0, 1]")
     return x
 
 
@@ -74,12 +95,12 @@ class MultSet:
     __slots__ = ("elements",)
 
     def __init__(self, values: Iterable) -> None:
-        self.elements: tuple[Fraction, ...] = tuple(sorted({_coerce_unit(v) for v in values}))
+        self.elements: tuple[Fraction, ...] = tuple(sorted({exact_unit(v, "multiplicity ") for v in values}))
 
     @classmethod
     def parse(cls, text: str) -> "MultSet":
         """Parse a comma-separated list such as ``"0,1/2,1"``."""
-        items = [s for s in (p.strip() for p in text.split(",")) if s]
+        items = split_items(text)
         if not items:
             raise DomainError(f"empty multiplicity set: {text!r}")
         return cls(items)
@@ -91,7 +112,7 @@ class MultSet:
         return len(self.elements)
 
     def __contains__(self, value) -> bool:
-        return _coerce(value) in self.elements
+        return exact(value) in self.elements
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultSet):
@@ -132,7 +153,7 @@ class BoundaryP1:
             if label in seen:
                 raise DomainError(f"duplicate point label: {label!r}")
             seen.add(label)
-            pts.append((label, _coerce_unit(mult)))
+            pts.append((label, exact_unit(mult, "multiplicity ")))
         self.points: tuple[tuple[str, Fraction], ...] = tuple(pts)
 
     @classmethod
@@ -145,9 +166,7 @@ class BoundaryP1:
         """Parse ``"1/2,2/3"`` (auto labels) or ``"a=1/2,b=2/3"``."""
         pts = []
         auto = 1
-        for item in (p.strip() for p in text.split(",")):
-            if not item:
-                continue
+        for item in split_items(text):
             if "=" in item:
                 label, _, val = item.partition("=")
                 pts.append((label.strip(), val.strip()))

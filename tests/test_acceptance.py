@@ -479,6 +479,17 @@ def audit_exactness(source, name):
             and _int_by_syntax(node.right)
         ):
             raise AssertionError(f"int / int division in {name}, line {node.lineno}")
+        # Caller input becomes a Fraction only through rationals.exact, which
+        # rejects floats; Fraction(x) of a variable would accept one.
+        if (
+            name != "rationals.py"
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction"
+            and len(node.args) == 1
+            and isinstance(node.args[0], (ast.Name, ast.Attribute, ast.Subscript))
+        ):
+            raise AssertionError(f"Fraction() of a variable in {name}, line {node.lineno}")
 
 
 def test_criterion_6_exactness_audit():
@@ -502,3 +513,15 @@ def test_exactness_audit_flags_int_division(inexact, exact):
     with pytest.raises(AssertionError, match="int / int division"):
         audit_exactness(inexact, "snippet.py")
     audit_exactness(exact, "snippet.py")
+
+
+@pytest.mark.parametrize("coercion", ["x = Fraction(x)", "x = Fraction(b.eps)", "x = Fraction(bs[0])"])
+def test_exactness_audit_flags_unchecked_coercion(coercion):
+    with pytest.raises(AssertionError, match="Fraction\\(\\) of a variable"):
+        audit_exactness(coercion, "snippet.py")
+    audit_exactness(coercion, "rationals.py")
+
+
+@pytest.mark.parametrize("checked", ["x = exact(x)", "x = Fraction(len(p))", "x = Fraction(1, n)"])
+def test_exactness_audit_passes_checked_coercion(checked):
+    audit_exactness(checked, "snippet.py")

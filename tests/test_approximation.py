@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from complements import (
     ApproximationError,
     ApproxResult,
-    BoundaryP1,
     PreconditionError,
-    equiv_radius,
-    openness_radius,
     quality_bound_holds,
     simultaneous_approx,
     verify_floor_claim,
@@ -144,10 +141,3 @@ class TestFloorClaim:
             c = max(constrained)
             if c + out.q * N * out.error < 1:
                 assert verify_floor_claim(b0, out, N)
-
-
-class TestEquivRadius:
-    def test_delegates_to_openness(self):
-        for text, n in [("1/2", 2), ("1,1", 1), ("2/3,1/2", 3)]:
-            b = BoundaryP1.parse(text)
-            assert equiv_radius(b, n) == openness_radius(b, n)

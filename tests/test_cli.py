@@ -176,6 +176,28 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "phi", "--set", "0,1", "--value", "1.5")
         assert code == 1 and "malformed" in err
 
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["n1-sweep", "--set", "0,1", "--m-max", "a,2", "--n-max", "5"], "a"),
+            (["rn", "--set", "0,1", "--n", "1,a"], "a"),
+            (["lct", "--germ", "x:1"], "x"),
+            (["diff", "--n", "2", "--terms", "x:1/2"], "x"),
+            (["elliptic", "--genus", "0", "--fibers", "P1:mI_n:x"], "x"),
+            (["kodaira", "--type", "mI_n:x"], "x"),
+        ],
+    )
+    def test_malformed_integer_in_list(self, capsys, argv, token):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: malformed integer: {token!r}\n")
+
+    def test_negative_cap_in_list(self, capsys):
+        # a leading "-" reads as an option unless the value is attached with "="
+        code, _, _ = invoke(capsys, "n1-sweep", "--set", "0,1", "--m-max", "-1,3", "--n-max", "5")
+        assert code == 2
+        code, _, err = invoke(capsys, "n1-sweep", "--set", "0,1", "--m-max=-1,3", "--n-max", "5")
+        assert (code, err) == (1, "error: m_max=-1 must be >= 1\n")
+
     def test_deterministic_output(self, capsys):
         a = invoke(capsys, "n1", "--set", "0,1", "--m-max", "20", "--n-max", "10", "--json")
         b = invoke(capsys, "n1", "--set", "0,1", "--m-max", "20", "--n-max", "10", "--json")
