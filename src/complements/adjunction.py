@@ -21,6 +21,7 @@ from .rationals import (
     MultSet,
     PreconditionError,
     exact,
+    exact_int,
     exact_unit,
     parse_int,
     parse_rational,
@@ -39,14 +40,12 @@ class DiffInput:
     terms: tuple[tuple[int, Fraction], ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise PreconditionError(f"germ index n={self.n} must be positive")
-        terms = []
-        for k, b in self.terms:
-            if k < 0:
-                raise PreconditionError(f"intersection number k={k} must be >= 0")
-            terms.append((k, exact_unit(b, "boundary multiplicity ")))
-        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "n", exact_int(self.n, "germ index n", 1))
+        terms = tuple(
+            (exact_int(k, "intersection number k", 0), exact_unit(b, "boundary multiplicity "))
+            for k, b in self.terms
+        )
+        object.__setattr__(self, "terms", terms)
 
 
 def diff_multiplicity(inp: DiffInput) -> Fraction:
@@ -117,12 +116,10 @@ class FiberGerm:
             raise PreconditionError("fibre germ must have at least one component")
         comps = []
         for mu, d in self.components:
-            if mu < 1:
-                raise PreconditionError(f"fibre multiplicity {mu} must be >= 1")
             d = exact(d)
             if d > 1:
                 raise PreconditionError(f"boundary multiplicity {d} exceeds 1")
-            comps.append((mu, d))
+            comps.append((exact_int(mu, "fibre multiplicity mu", 1), d))
         object.__setattr__(self, "components", tuple(comps))
 
     @classmethod
@@ -180,6 +177,7 @@ def germ_from_blowups(
         mu_new = 0
         d_new = Fraction(-1)
         for index, local_mult in step:
+            local_mult = exact_int(local_mult, "local_mult", 1)
             mu_i, d_i = comps[index]
             mu_new += local_mult * mu_i
             d_new += local_mult * d_i
@@ -215,8 +213,7 @@ class KodairaType:
     def __post_init__(self):
         if self.tag != "mI_n" and self.tag not in _KODAIRA:
             raise DomainError(f"unknown fibre type {self.tag!r}")
-        if self.m < 1:
-            raise PreconditionError(f"fibre multiplicity m={self.m} must be >= 1")
+        object.__setattr__(self, "m", exact_int(self.m, "fibre multiplicity m", 1))
         if self.tag != "mI_n" and self.m != 1:
             raise PreconditionError(f"type {self.tag} carries no multiplicity")
 
@@ -268,10 +265,8 @@ class EllipticFibration:
     j_degree: int = 0
 
     def __post_init__(self):
-        if self.base_genus < 0:
-            raise PreconditionError("base genus must be >= 0")
-        if self.j_degree < 0:
-            raise PreconditionError("j-map degree must be >= 0")
+        object.__setattr__(self, "base_genus", exact_int(self.base_genus, "base_genus", 0))
+        object.__setattr__(self, "j_degree", exact_int(self.j_degree, "j_degree", 0))
         labels = [lbl for lbl, _ in self.fibers]
         if len(labels) != len(set(labels)):
             raise DomainError("fibre labels must be pairwise distinct")
@@ -318,8 +313,7 @@ def moduli_degree_ruled(e: int, sections: Iterable[tuple[Fraction, Fraction]]) -
     ``a >= e`` except possibly for the one sitting on the minimal section,
     and the multiplicities sum to 2.
     """
-    if e < 0:
-        raise PreconditionError(f"ruling invariant e={e} must be >= 0")
+    e = exact_int(e, "ruling invariant e", 0)
     secs = [(exact(d), exact(a)) for d, a in sections]
     if len(secs) != 4:
         raise PreconditionError(f"expected exactly 4 sections, got {len(secs)}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import DomainError, PreconditionError, exact, exact_unit
+from .rationals import DomainError, PreconditionError, exact, exact_int, exact_unit
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ def quality_bound_holds(error: Fraction, r: int, q: int) -> bool:
     Raising both sides to the r-th power clears the fractional exponent:
     the inequality is equivalent to ``num^r (r+1)^r q^(r+1) < den^r``.
     """
-    if r < 1 or q < 1:
-        raise PreconditionError("dimension and denominator must be positive")
+    r = exact_int(r, "dimension r", 1)
+    q = exact_int(q, "denominator q", 1)
     error = exact(error)
     return error.numerator**r * (r + 1) ** r * q ** (r + 1) < error.denominator**r
 
@@ -74,8 +74,7 @@ def simultaneous_approx(b: Sequence[Fraction], q_max: int) -> ApproxResult:
     bs = list(b)
     if not bs:
         raise PreconditionError("empty multiplicity vector")
-    if q_max < 2:
-        raise PreconditionError(f"q_max={q_max} must be >= 2")
+    q_max = exact_int(q_max, "q_max", 2)
     bs = [exact_unit(x, "multiplicity ") for x in bs]
     r = len(bs)
     pairs = [(x.numerator, x.denominator) for x in bs]
@@ -107,8 +106,7 @@ def verify_floor_claim(b0: Sequence[Fraction], approx: ApproxResult, N: int) -> 
     b0s = [exact(x) for x in b0]
     if len(b0s) != len(approx.numerators):
         raise PreconditionError("approximation does not align with the boundary vector")
-    if N < 1:
-        raise PreconditionError(f"N={N} must be positive")
+    N = exact_int(N, "N", 1)
     q = approx.q
     for x0, m in zip(b0s, approx.numerators):
         if m >= q:  # b_i = m/q >= 1 is unconstrained

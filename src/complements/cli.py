@@ -17,6 +17,7 @@ from .rationals import (
     BoundaryP1,
     DomainError,
     MultSet,
+    clip,
     format_rational,
     lcm_denominators,
     parse_int,
@@ -138,7 +139,10 @@ def _cmd_n1(args) -> None:
 
 def _cmd_n1_sweep(args) -> None:
     R = MultSet.parse(args.set)
-    for report in p1.enumerate_N1_sweep(R, [parse_int(p) for p in split_items(args.m_max)], args.n_max):
+    caps = [parse_int(p) for p in split_items(args.m_max)]
+    if not caps:
+        raise DomainError(f"empty cap list: {clip(args.m_max)}")
+    for report in p1.enumerate_N1_sweep(R, caps, args.n_max):
         m_max, n_max = report.cap_used
         _emit_json({"m_max": m_max, "n_max": n_max, "indices": list(report.indices)})
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .rationals import MultSet, PreconditionError, exact, exact_unit, lcm_denominators
+from .rationals import MultSet, PreconditionError, exact, exact_int, exact_unit, lcm_denominators
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,7 @@ class PhiWitness:
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise PreconditionError(f"witness multiplier m={self.m} must be positive")
+        object.__setattr__(self, "m", exact_int(self.m, "witness multiplier m", 1))
         if 1 - self.r / self.m != self.value or not (0 <= self.value <= 1):
             raise PreconditionError(
                 f"invalid witness: 1 - {self.r}/{self.m} != {self.value}"
@@ -58,8 +57,7 @@ class ClosureElement:
     parts: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.m < 1:
-            raise PreconditionError("multiplier m must be positive")
+        object.__setattr__(self, "m", exact_int(self.m, "multiplier m", 1))
         if any(not (0 <= p < 1) for p in self.parts):
             raise PreconditionError("closure parts must lie in [0, 1)")
         expected = self.r0 - self.m * sum((1 - p for p in self.parts), Fraction(0))
@@ -93,8 +91,7 @@ def phi_enumerate(R: MultSet, m_max: int) -> MultSet:
     phi(R) is infinite with accumulation at 1, so the truncation bound is
     mandatory; callers own the choice of ``m_max``.
     """
-    if m_max < 1:
-        raise PreconditionError(f"m_max={m_max} must be >= 1")
+    m_max = exact_int(m_max, "m_max", 1)
     values: set[Fraction] = set()
     for r in R:
         if r == 0:
@@ -168,8 +165,7 @@ def closure_is_idempotent(R: MultSet) -> bool:
 
 def r_n_set(R: MultSet, n: int) -> MultSet:
     """The shift lattice ``(closure(R) + (1/n)Z)`` cut to [0, 1]."""
-    if n < 1:
-        raise PreconditionError(f"n={n} must be >= 1")
+    n = exact_int(n, "n", 1)
     out: set[Fraction] = set()
     for x in closure(R):
         k_lo = math.ceil(-x * n)
@@ -191,8 +187,7 @@ def r_prime(R: MultSet, indices: Iterable[int]) -> MultSet:
 
 def pn_contains(n: int, a: Fraction) -> bool:
     """The floor criterion: 0 <= a <= 1 and ``floor((n+1)a) >= n*a``."""
-    if n < 1:
-        raise PreconditionError(f"n={n} must be >= 1")
+    n = exact_int(n, "n", 1)
     a = exact(a)
     if a < 0 or a > 1:
         return False
@@ -207,6 +202,7 @@ def pn_lemma_check(R: MultSet, n: int, eps: Fraction, m_max: int) -> bool:
     mode.  The interval part ``[1-eps, 1]`` needs no sampling: there
     ``(n+1)a > n`` forces ``floor((n+1)a) >= n >= n*a``.
     """
+    n = exact_int(n, "n", 1)
     interval = lcm_denominators(R)
     if n % interval != 0:
         raise PreconditionError(f"I(R)={interval} does not divide n={n}")

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .hyperstandard import phi_contains, phi_enumerate
-from .rationals import BoundaryP1, DomainError, MultSet, PreconditionError, lcm_denominators
+from .rationals import BoundaryP1, DomainError, MultSet, PreconditionError, exact_int, lcm_denominators
 
 
 class ComplementVariant(enum.Enum):
@@ -62,8 +62,7 @@ class ComplementCertificate:
     extra_points: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise PreconditionError(f"index n={self.n} must be positive")
+        object.__setattr__(self, "n", exact_int(self.n, "index n", 1))
         if any(not (0 <= a <= self.n) for a in self.numerators):
             raise PreconditionError("numerators must lie in [0, n]")
         if any(not (1 <= a <= self.n) for a in self.extra_points):
@@ -88,8 +87,7 @@ def complement_exists(
     then distributed greedily (largest parts first, each at most n) over new
     general points.
     """
-    if n < 1:
-        raise PreconditionError(f"index n={n} must be positive")
+    n = exact_int(n, "index n", 1)
     reqs = tuple(point_requirement(d, n, variant) for _, d in D)
     total = sum(reqs)
     if total > 2 * n:
@@ -117,8 +115,8 @@ def min_complement_index(
     D: BoundaryP1, I: int, n_max: int, variant: ComplementVariant
 ) -> int | None:
     """Least ``n <= n_max`` divisible by I admitting an n-complement."""
-    if I < 1:
-        raise PreconditionError(f"I={I} must be positive")
+    I = exact_int(I, "I", 1)
+    n_max = exact_int(n_max, "n_max", None)
     if n_max < I:
         raise PreconditionError(f"n_max={n_max} must be >= I={I}")
     for n in range(I, n_max + 1, I):
@@ -131,8 +129,7 @@ def scale_certificate(
     cert: ComplementCertificate, D: BoundaryP1, I: int
 ) -> ComplementCertificate:
     """Turn an n-certificate whose complement dominates D into an nI-certificate."""
-    if I < 1:
-        raise PreconditionError(f"I={I} must be positive")
+    I = exact_int(I, "I", 1)
     if len(cert.numerators) != len(D):
         raise PreconditionError("certificate does not align with the boundary")
     for a, (label, d) in zip(cert.numerators, D):
@@ -155,8 +152,7 @@ def openness_radius(B: BoundaryP1, n: int) -> Fraction:
     no constraining component the full multiplicity interval works and the
     radius is 1.
     """
-    if n < 1:
-        raise PreconditionError(f"index n={n} must be positive")
+    n = exact_int(n, "index n", 1)
     radius = Fraction(1)
     for _, b in B:
         if b < 1:
@@ -167,9 +163,7 @@ def openness_radius(B: BoundaryP1, n: int) -> Fraction:
 
 def epsilon_from_N(N: int) -> Fraction:
     """The gap ``1/(N+2)`` attached to a supremum N of minimal indices."""
-    if N < 1:
-        raise PreconditionError(f"N={N} must be positive")
-    return Fraction(1, N + 2)
+    return Fraction(1, exact_int(N, "N", 1) + 2)
 
 
 class EnumerationCapError(DomainError):
@@ -217,7 +211,7 @@ def scan_minimal_indices(
     """
     interval = lcm_denominators(R)
     values = [v for v in phi_enumerate(R, m_max) if v > 0]
-    candidates = list(range(interval, n_max + 1, interval))
+    candidates = list(range(interval, exact_int(n_max, "n_max", None) + 1, interval))
     if not candidates:
         raise PreconditionError(f"n_max={n_max} below I(R)={interval}")
     unit = math.lcm(*(v.denominator for v in values))
@@ -314,15 +308,15 @@ def enumerate_N1_sweep(
     boundaries of the big walk born by c.
 
     Each cap behaves as :func:`enumerate_N1` at that cap: the reports before
-    the first failing cap are yielded, and then its error is raised.
+    the first failing cap are yielded, and then its error is raised.  A cap
+    that is not an integer fails the whole sweep before any report.
     """
-    caps = list(m_maxes)
+    caps = [exact_int(cap, "m_max", None) for cap in m_maxes]
     if caps and not any(r > 0 for r in R):
         raise PreconditionError("R must contain a positive element")
     firsts = None
     for cap in caps:
-        if cap < 1:
-            raise PreconditionError(f"m_max={cap} must be >= 1")
+        exact_int(cap, "m_max", 1)
         if firsts is None:
             firsts = _first_births(R, [c for c in caps if c >= 1], n_max)
         found = {

@@ -3,13 +3,15 @@
 Every quantity in this package is an exact ``fractions.Fraction``.  There is
 no floating point anywhere: all comparisons, floors and thresholds are
 evaluated in arbitrary-precision integer arithmetic.  Caller input enters
-through one boundary: :func:`exact` and :func:`exact_unit` for scalars,
-:func:`parse_int`, :func:`parse_rational` and :func:`split_items` for text.
+through one boundary: :func:`exact` and :func:`exact_unit` for rational
+scalars, :func:`exact_int` for integer parameters, :func:`parse_int`,
+:func:`parse_rational` and :func:`split_items` for text.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -26,18 +28,28 @@ class PreconditionError(DomainError):
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
+def clip(value) -> str:
+    """``repr(value)`` cut to at most 80 characters, for echoing input in errors."""
+    try:
+        text = repr(value)
+    except ValueError:  # an integer part past int()'s digit limit
+        return f"<{type(value).__name__} too large to print>"
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` into an exact value in lowest terms."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
-        raise DomainError(f"malformed rational: {text!r}")
+        raise DomainError(f"malformed rational: {clip(text)}")
     num, _, den = s.partition("/")
-    if den:
-        d = int(den)
-        if d == 0:
-            raise DomainError(f"zero denominator: {text!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(num))
+    try:
+        p, q = int(num), int(den or 1)
+    except ValueError:  # more digits than int() converts
+        raise DomainError(f"malformed rational: {clip(text)}") from None
+    if q == 0:
+        raise DomainError(f"zero denominator: {clip(text)}")
+    return Fraction(p, q)
 
 
 def format_rational(x: Fraction) -> str:
@@ -50,7 +62,7 @@ def parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise DomainError(f"malformed integer: {text!r}") from None
+        raise DomainError(f"malformed integer: {clip(text)}") from None
 
 
 def split_items(text: str) -> list[str]:
@@ -70,7 +82,7 @@ def exact(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise DomainError(f"not an exact rational: {value!r}")
+    raise DomainError(f"not an exact rational: {clip(value)}")
 
 
 def exact_unit(value, name: str) -> Fraction:
@@ -83,6 +95,18 @@ def exact_unit(value, name: str) -> Fraction:
     if x < 0 or x > 1:
         raise PreconditionError(f"{name}{x} outside [0, 1]")
     return x
+
+
+def exact_int(value, name: str, low: int | None) -> int:
+    """The one input boundary for integers: what ``operator.index`` takes (no
+    float, Fraction, Decimal or text), at least ``low`` unless that is None."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"not an integer: {name}={clip(value)}") from None
+    if low is not None and n < low:
+        raise PreconditionError(f"{name}={clip(n)} must be >= {low}")
+    return n
 
 
 class MultSet:

@@ -430,7 +430,11 @@ def test_criterion_6_diophantine():
     _report("criterion 6a (qualifying denominators found, floor claim holds)", check)
 
 
-FLOAT_SINKS = {"sqrt", "exp", "log", "log2", "log10", "pow", "sin", "cos", "tan", "hypot"}
+# module -> attributes that return floats; the clocks' *_ns variants are ints
+FLOAT_SINKS = {
+    "math": {"sqrt", "exp", "log", "log2", "log10", "pow", "sin", "cos", "tan", "hypot"},
+    "time": {"time", "perf_counter", "monotonic", "process_time"},
+}
 INT_CALLS = {"floor", "ceil", "lcm", "gcd"}
 
 
@@ -467,10 +471,9 @@ def audit_exactness(source, name):
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
-            and node.value.id == "math"
-            and node.attr in FLOAT_SINKS
+            and node.attr in FLOAT_SINKS.get(node.value.id, ())
         ):
-            raise AssertionError(f"math.{node.attr} in {name}")
+            raise AssertionError(f"{node.value.id}.{node.attr} in {name}, line {node.lineno}")
         # Fraction division is exact; int / int is a float.
         if (
             isinstance(node, ast.BinOp)
@@ -495,10 +498,12 @@ def audit_exactness(source, name):
 def test_criterion_6_exactness_audit():
     def check():
         pkg_dir = pathlib.Path(complements.__file__).parent
-        for path in sorted(pkg_dir.glob("*.py")):
+        scripts = sorted((pathlib.Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+        assert scripts, "no scripts to audit"
+        for path in sorted(pkg_dir.glob("*.py")) + scripts:
             audit_exactness(path.read_text(), path.name)
 
-    _report("criterion 6b (no floating-point code path in the package)", check)
+    _report("criterion 6b (no floating-point code path in the package or its scripts)", check)
 
 
 @pytest.mark.parametrize(
@@ -513,6 +518,13 @@ def test_exactness_audit_flags_int_division(inexact, exact):
     with pytest.raises(AssertionError, match="int / int division"):
         audit_exactness(inexact, "snippet.py")
     audit_exactness(exact, "snippet.py")
+
+
+@pytest.mark.parametrize("clock", ["time", "perf_counter", "monotonic", "process_time"])
+def test_exactness_audit_flags_float_clock(clock):
+    with pytest.raises(AssertionError, match=f"time.{clock} in snippet.py"):
+        audit_exactness(f"t = time.{clock}()", "snippet.py")
+    audit_exactness(f"t = time.{clock}_ns()", "snippet.py")
 
 
 @pytest.mark.parametrize("coercion", ["x = Fraction(x)", "x = Fraction(b.eps)", "x = Fraction(bs[0])"])

@@ -1,8 +1,13 @@
+import importlib.util
 import json
+import pathlib
+import sys
 
 import pytest
 
 from complements.cli import run
+
+INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def invoke(capsys, *argv):
@@ -198,7 +203,79 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "n1-sweep", "--set", "0,1", "--m-max=-1,3", "--n-max", "5")
         assert (code, err) == (1, "error: m_max=-1 must be >= 1\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["complement", "--boundary", "1/2", "--n", "0"], "index n=0 must be >= 1"),
+            (["radius", "--boundary", "1/2", "--n", "0"], "index n=0 must be >= 1"),
+            (["min-index", "--boundary", "1/2", "-I", "0"], "I=0 must be >= 1"),
+            (["diff", "--n", "0"], "germ index n=0 must be >= 1"),
+            (["lct", "--germ", "0:1"], "fibre multiplicity mu=0 must be >= 1"),
+            (["elliptic", "--genus", "-1"], "base_genus=-1 must be >= 0"),
+            (["elliptic", "--genus", "0", "--j-degree", "-1"], "j_degree=-1 must be >= 0"),
+            (["approx", "--b", "1/2", "--q-max", "2", "--floor-n", "0"], "N=0 must be >= 1"),
+        ],
+    )
+    def test_integer_below_bound(self, capsys, argv, message):
+        assert invoke(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.skipif(INT_MAX_STR_DIGITS == 0, reason="no limit on int() digits")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the echo is cut to 80 characters: quote, text, "..."
+            (["phi", "--set", "0,1", "--value", "1/{}"], "malformed rational: '1/" + "7" * 74 + "..."),
+            (["rn", "--set", "0,1", "--n", "1,{}"], "malformed integer: '" + "7" * 76 + "..."),
+        ],
+        ids=["phi", "rn"],
+    )
+    def test_oversized_literal(self, capsys, argv, message):
+        sevens = "7" * (INT_MAX_STR_DIGITS + 100)
+        assert invoke(capsys, *(a.format(sevens) for a in argv)) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("caps", [",", ""])
+    def test_empty_cap_list(self, capsys, caps):
+        code, out, err = invoke(capsys, "n1-sweep", "--set", "0,1", "--m-max", caps, "--n-max", "10")
+        assert (code, out, err) == (1, "", f"error: empty cap list: {caps!r}\n")
+
     def test_deterministic_output(self, capsys):
         a = invoke(capsys, "n1", "--set", "0,1", "--m-max", "20", "--n-max", "10", "--json")
         b = invoke(capsys, "n1", "--set", "0,1", "--m-max", "20", "--n-max", "10", "--json")
         assert a == b
+
+
+def _load_sweep_script():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "n1_sweep.py"
+    spec = importlib.util.spec_from_file_location("n1_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSweepScript:
+    def run_script(self, capsys, monkeypatch, *argv):
+        monkeypatch.setattr(sys, "argv", ["n1_sweep.py", "--set", "0,1", *argv])
+        code = _load_sweep_script().main()
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_lines_carry_integer_nanoseconds(self, capsys, monkeypatch):
+        code, out, err = self.run_script(capsys, monkeypatch, "--caps", "8,12", "--n-max", "10")
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert (code, err) == (0, "")
+        assert [(l["m_max"], l["indices"], l["stable"]) for l in lines] == [
+            (8, [1, 2, 3, 4, 6], False),
+            (12, [1, 2, 3, 4, 6], True),
+        ]
+        assert all(type(l["ns"]) is int and l["ns"] > 0 for l in lines)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--caps", "5:3", "--n-max", "10"], "empty cap list: '5:3'"),
+            (["--caps", "a:3", "--n-max", "10"], "malformed integer: 'a'"),
+            (["--caps", "3:5", "--n-max", "0"], "n_max=0 below I(R)=1"),
+        ],
+    )
+    def test_domain_error_exits_one(self, capsys, monkeypatch, argv, message):
+        assert self.run_script(capsys, monkeypatch, *argv) == (1, "", f"error: {message}\n")
