@@ -25,7 +25,7 @@ from .rationals import (
     exact_unit,
     parse_int,
     parse_rational,
-    split_items,
+    split_pairs,
 )
 
 
@@ -125,11 +125,8 @@ class FiberGerm:
     @classmethod
     def parse(cls, text: str) -> "FiberGerm":
         """Parse ``"mu:d,mu:d,..."`` such as ``"1:0,2:-1,3:-2,6:-4"``."""
-        comps = []
-        for item in split_items(text):
-            mu, _, d = item.partition(":")
-            comps.append((parse_int(mu), parse_rational(d)))
-        return cls(tuple(comps))
+        pairs = split_pairs(text, "germ")
+        return cls(tuple((parse_int(mu), parse_rational(d)) for mu, d in pairs))
 
     def to_json(self) -> list[list[str]]:
         return [[str(mu), str(d)] for mu, d in self.components]
@@ -177,6 +174,11 @@ def germ_from_blowups(
         mu_new = 0
         d_new = Fraction(-1)
         for index, local_mult in step:
+            index = exact_int(index, "component index", 0)
+            if index >= len(comps):
+                raise PreconditionError(
+                    f"component index={index} must be < {len(comps)}, the component count"
+                )
             local_mult = exact_int(local_mult, "local_mult", 1)
             mu_i, d_i = comps[index]
             mu_new += local_mult * mu_i

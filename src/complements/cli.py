@@ -18,16 +18,22 @@ from .rationals import (
     DomainError,
     MultSet,
     clip,
+    exact_int,
     format_rational,
     lcm_denominators,
     parse_int,
     parse_rational,
     split_items,
+    split_pairs,
 )
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, separators=(",", ":")))
+def _json_text(payload) -> str:
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def _flag(ok: bool) -> str:
+    return "true" if ok else "false"
 
 
 def _fmt_set(values) -> str:
@@ -38,65 +44,51 @@ def _fmt_indices(indices) -> str:
     return "{" + ",".join(str(i) for i in indices) + "}"
 
 
-def _parse_pairs(text: str, what: str) -> list[tuple[str, str]]:
-    pairs = []
-    for item in split_items(text):
-        left, sep, right = item.partition(":")
-        if not sep:
-            raise DomainError(f"malformed {what} entry {item!r} (expected a:b)")
-        pairs.append((left.strip(), right.strip()))
-    return pairs
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each yields one (JSON payload, text line) pair per
+# output line; run prints one of the two
 
-def _cmd_phi(args) -> None:
+def _cmd_phi(args):
     R = MultSet.parse(args.set)
     if args.value is not None:
         a = parse_rational(args.value)
         if args.eps is not None:
             ok = hyperstandard.phi_eps_contains(R, parse_rational(args.eps), a)
-            _emit_json({"member": ok}) if args.json else print("true" if ok else "false")
+            yield {"member": ok}, _flag(ok)
             return
         w = hyperstandard.phi_contains(R, a)
-        if args.json:
-            _emit_json({"member": w is not None, "witness": w.to_json() if w else None})
-        elif w is None:
-            print("no")
-        else:
-            print(f"yes (r={format_rational(w.r)}, m={w.m})")
+        text = "no" if w is None else f"yes (r={format_rational(w.r)}, m={w.m})"
+        yield {"member": w is not None, "witness": w.to_json() if w else None}, text
         return
     if args.m_max is None:
         raise DomainError("phi needs either --value or --m-max")
     out = hyperstandard.phi_enumerate(R, args.m_max)
-    _emit_json(out.to_json()) if args.json else print(_fmt_set(out))
+    yield out.to_json(), _fmt_set(out)
 
 
-def _cmd_closure(args) -> None:
+def _cmd_closure(args):
     R = MultSet.parse(args.set)
     if args.interval:
         i = lcm_denominators(R)
-        _emit_json({"interval": i}) if args.json else print(i)
+        yield {"interval": i}, str(i)
         return
     out = hyperstandard.closure(R)
     if args.check_idempotent:
         ok = hyperstandard.closure_is_idempotent(R)
-        _emit_json({"closure": out.to_json(), "idempotent": ok}) if args.json else print(
-            f"{_fmt_set(out)} idempotent={'true' if ok else 'false'}"
-        )
+        text = f"{_fmt_set(out)} idempotent={_flag(ok)}"
+        yield {"closure": out.to_json(), "idempotent": ok}, text
         return
-    _emit_json(out.to_json()) if args.json else print(_fmt_set(out))
+    yield out.to_json(), _fmt_set(out)
 
 
-def _cmd_rn(args) -> None:
+def _cmd_rn(args):
     R = MultSet.parse(args.set)
     ns = [parse_int(p) for p in split_items(args.n)]
     out = hyperstandard.r_n_set(R, ns[0]) if len(ns) == 1 else hyperstandard.r_prime(R, ns)
-    _emit_json(out.to_json()) if args.json else print(_fmt_set(out))
+    yield out.to_json(), _fmt_set(out)
 
 
-def _cmd_pn(args) -> None:
+def _cmd_pn(args):
     if args.value is not None:
         ok = hyperstandard.pn_contains(args.n, parse_rational(args.value))
     else:
@@ -104,152 +96,134 @@ def _cmd_pn(args) -> None:
             raise DomainError("pn needs --value, or --set with --m-max")
         eps = parse_rational(args.eps) if args.eps is not None else Fraction(0)
         ok = hyperstandard.pn_lemma_check(MultSet.parse(args.set), args.n, eps, args.m_max)
-    _emit_json({"ok": ok}) if args.json else print("true" if ok else "false")
+    yield {"ok": ok}, _flag(ok)
 
 
-def _cmd_complement(args) -> None:
+def _cmd_complement(args):
     D = BoundaryP1.parse(args.boundary)
     variant = p1.ComplementVariant.parse(args.variant)
     cert = p1.complement_exists(D, args.n, variant)
-    if cert is not None and args.index > 1:
-        cert = p1.scale_certificate(cert, D, args.index)
-    if args.json:
-        _emit_json(cert.to_json() if cert else None)
-    elif cert is None:
-        print("none")
-    else:
-        extras = ",".join(str(a) for a in cert.extra_points) or "-"
-        print(f"n={cert.n} numerators={','.join(str(a) for a in cert.numerators)} extra={extras}")
+    index = exact_int(args.index, "I", 1)
+    if cert is None:
+        yield None, "none"
+        return
+    if index > 1:
+        cert = p1.scale_certificate(cert, D, index)
+    nums = ",".join(str(a) for a in cert.numerators)
+    extras = ",".join(str(a) for a in cert.extra_points) or "-"
+    yield cert.to_json(), f"n={cert.n} numerators={nums} extra={extras}"
 
 
-def _cmd_min_index(args) -> None:
+def _cmd_min_index(args):
     D = BoundaryP1.parse(args.boundary)
     variant = p1.ComplementVariant.parse(args.variant)
     n = p1.min_complement_index(D, args.index, args.n_max, variant)
-    if args.json:
-        _emit_json({"min_index": n})
-    else:
-        print("none" if n is None else str(n))
+    yield {"min_index": n}, "none" if n is None else str(n)
 
 
-def _cmd_n1(args) -> None:
+def _cmd_n1(args):
     report = p1.enumerate_N1(MultSet.parse(args.set), args.m_max, args.n_max)
-    _emit_json(report.to_json()) if args.json else print(_fmt_indices(report.indices))
+    yield report.to_json(), _fmt_indices(report.indices)
 
 
-def _cmd_n1_sweep(args) -> None:
+def _cmd_n1_sweep(args):
+    # one JSON line per cap in both modes, each out before the next cap runs
     R = MultSet.parse(args.set)
     caps = [parse_int(p) for p in split_items(args.m_max)]
     if not caps:
         raise DomainError(f"empty cap list: {clip(args.m_max)}")
     for report in p1.enumerate_N1_sweep(R, caps, args.n_max):
         m_max, n_max = report.cap_used
-        _emit_json({"m_max": m_max, "n_max": n_max, "indices": list(report.indices)})
+        line = {"m_max": m_max, "n_max": n_max, "indices": list(report.indices)}
+        yield line, _json_text(line)
 
 
-def _cmd_diff(args) -> None:
+def _cmd_diff(args):
     terms = tuple(
-        (parse_int(k), parse_rational(b)) for k, b in _parse_pairs(args.terms or "", "term")
+        (parse_int(k), parse_rational(b)) for k, b in split_pairs(args.terms or "", "term")
     )
     inp = adjunction.DiffInput(args.n, terms)
     d = adjunction.diff_multiplicity(inp)
-    if args.set is not None:
-        eps = parse_rational(args.eps) if args.eps is not None else Fraction(0)
-        cert = adjunction.diff_in_hyperstandard(MultSet.parse(args.set), eps, inp)
-        if args.json:
-            _emit_json(cert.to_json())
-        elif cert.witness is not None:
-            w = cert.witness
-            print(f"{format_rational(d)} (r={format_rational(w.r)}, m={w.m})")
-        else:
-            print(f"{format_rational(d)} (tail)")
+    if args.set is None:
+        yield {"value": str(d)}, format_rational(d)
         return
-    _emit_json({"value": str(d)}) if args.json else print(format_rational(d))
+    eps = parse_rational(args.eps) if args.eps is not None else Fraction(0)
+    cert = adjunction.diff_in_hyperstandard(MultSet.parse(args.set), eps, inp)
+    w = cert.witness
+    how = "tail" if w is None else f"r={format_rational(w.r)}, m={w.m}"
+    yield cert.to_json(), f"{format_rational(d)} ({how})"
 
 
-def _cmd_lct(args) -> None:
+def _cmd_lct(args):
     germ = adjunction.FiberGerm.parse(args.germ)
     if args.shift is not None:
         germ = adjunction.divisorial_shift(germ, parse_rational(args.shift))
     c_w, d_w = adjunction.lct_over_divisor(germ)
-    if args.json:
-        _emit_json({"germ": germ.to_json(), "c_w": str(c_w), "d_w": str(d_w)})
-    else:
-        print(f"c_w={format_rational(c_w)} d_w={format_rational(d_w)}")
+    yield (
+        {"germ": germ.to_json(), "c_w": str(c_w), "d_w": str(d_w)},
+        f"c_w={format_rational(c_w)} d_w={format_rational(d_w)}",
+    )
 
 
-def _cmd_kodaira(args) -> None:
+def _cmd_kodaira(args):
     d = adjunction.kodaira_dP(adjunction.KodairaType.parse(args.type))
-    _emit_json({"d_P": str(d)}) if args.json else print(format_rational(d))
+    yield {"d_P": str(d)}, format_rational(d)
 
 
-def _cmd_elliptic(args) -> None:
+def _cmd_elliptic(args):
     fibers = tuple(
         (lbl, adjunction.KodairaType.parse(t))
-        for lbl, t in _parse_pairs(args.fibers or "", "fibre")
+        for lbl, t in split_pairs(args.fibers or "", "fibre")
     )
     fib = adjunction.EllipticFibration(args.genus, fibers, args.j_degree)
     out = adjunction.elliptic_formula(fib)
-    if args.json:
-        _emit_json(out.to_json())
-    else:
-        parts = " + ".join(f"{format_rational(d)}*{lbl}" for lbl, d in out.d_div) or "0"
-        print(
-            f"D_div = {parts}; deg D_mod = {format_rational(out.deg_dmod)}; "
-            f"deg total = {format_rational(out.deg_total)}; torsion index = {out.torsion_index}"
-        )
+    parts = " + ".join(f"{format_rational(d)}*{lbl}" for lbl, d in out.d_div) or "0"
+    yield out.to_json(), (
+        f"D_div = {parts}; deg D_mod = {format_rational(out.deg_dmod)}; "
+        f"deg total = {format_rational(out.deg_total)}; torsion index = {out.torsion_index}"
+    )
 
 
-def _cmd_ruled_moduli(args) -> None:
+def _cmd_ruled_moduli(args):
     sections = [
         (parse_rational(d), parse_rational(a))
-        for d, a in _parse_pairs(args.sections, "section")
+        for d, a in split_pairs(args.sections, "section")
     ]
     deg = adjunction.moduli_degree_ruled(args.e, sections)
-    _emit_json({"degree": str(deg)}) if args.json else print(format_rational(deg))
+    yield {"degree": str(deg)}, format_rational(deg)
 
 
-def _cmd_pair_discr(args) -> None:
+def _cmd_pair_discr(args):
     eps = parse_rational(args.eps) if args.eps is not None else Fraction(0)
     out = adjunction.pair_discr_bound([parse_rational(p) for p in split_items(args.lambdas)], eps)
-    if args.json:
-        _emit_json(
-            {
-                "sum": str(out.total),
-                "bound_ok": out.bound_ok,
-                "blowup_discrepancy": str(out.blowup_discrepancy),
-            }
-        )
-    else:
-        print(
-            f"sum={format_rational(out.total)} bound_ok={'true' if out.bound_ok else 'false'} "
-            f"discrepancy={format_rational(out.blowup_discrepancy)}"
-        )
+    yield (
+        {
+            "sum": str(out.total),
+            "bound_ok": out.bound_ok,
+            "blowup_discrepancy": str(out.blowup_discrepancy),
+        },
+        f"sum={format_rational(out.total)} bound_ok={_flag(out.bound_ok)} "
+        f"discrepancy={format_rational(out.blowup_discrepancy)}",
+    )
 
 
-def _cmd_approx(args) -> None:
+def _cmd_approx(args):
     b = [parse_rational(p) for p in split_items(args.b)]
     result = approximation.simultaneous_approx(b, args.q_max)
-    claim = None
+    payload = result.to_json()
+    nums = ",".join(str(m) for m in result.numerators)
+    line = f"q={result.q} numerators={nums} error={format_rational(result.error)}"
     if args.floor_n is not None:
         b0 = [parse_rational(p) for p in split_items(args.b0)] if args.b0 else b
         claim = approximation.verify_floor_claim(b0, result, args.floor_n)
-    if args.json:
-        payload = result.to_json()
-        if claim is not None:
-            payload["floor_claim"] = claim
-        _emit_json(payload)
-    else:
-        nums = ",".join(str(m) for m in result.numerators)
-        line = f"q={result.q} numerators={nums} error={format_rational(result.error)}"
-        if claim is not None:
-            line += f" floor_claim={'true' if claim else 'false'}"
-        print(line)
+        payload["floor_claim"] = claim
+        line += f" floor_claim={_flag(claim)}"
+    yield payload, line
 
 
-def _cmd_radius(args) -> None:
+def _cmd_radius(args):
     r = p1.openness_radius(BoundaryP1.parse(args.boundary), args.n)
-    _emit_json({"radius": str(r)}) if args.json else print(format_rational(r))
+    yield {"radius": str(r)}, format_rational(r)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +332,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.handler(args)
+        for payload, text in args.handler(args):
+            print(_json_text(payload) if args.json else text)
     except (ValueError, ZeroDivisionError) as exc:  # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -63,6 +63,9 @@ class ComplementCertificate:
 
     def __post_init__(self):
         object.__setattr__(self, "n", exact_int(self.n, "index n", 1))
+        for field, name in (("numerators", "numerator"), ("extra_points", "extra point")):
+            values = tuple(exact_int(a, name, None) for a in getattr(self, field))
+            object.__setattr__(self, field, values)
         if any(not (0 <= a <= self.n) for a in self.numerators):
             raise PreconditionError("numerators must lie in [0, n]")
         if any(not (1 <= a <= self.n) for a in self.extra_points):

@@ -5,7 +5,7 @@ no floating point anywhere: all comparisons, floors and thresholds are
 evaluated in arbitrary-precision integer arithmetic.  Caller input enters
 through one boundary: :func:`exact` and :func:`exact_unit` for rational
 scalars, :func:`exact_int` for integer parameters, :func:`parse_int`,
-:func:`parse_rational` and :func:`split_items` for text.
+:func:`parse_rational`, :func:`split_items` and :func:`split_pairs` for text.
 """
 
 from __future__ import annotations
@@ -68,6 +68,17 @@ def parse_int(text: str) -> int:
 def split_items(text: str) -> list[str]:
     """The stripped, nonempty items of a comma-separated list."""
     return [s for s in (p.strip() for p in text.split(",")) if s]
+
+
+def split_pairs(text: str, what: str) -> list[tuple[str, str]]:
+    """The ``"a:b"`` items of a comma-separated list, split at the first colon."""
+    pairs = []
+    for item in split_items(text):
+        left, sep, right = item.partition(":")
+        if not sep:
+            raise DomainError(f"malformed {what} entry {clip(item)} (expected a:b)")
+        pairs.append((left.strip(), right.strip()))
+    return pairs
 
 
 def exact(value) -> Fraction:

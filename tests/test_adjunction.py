@@ -229,6 +229,20 @@ class TestBlowupOracle:
         )
         assert germ == kodaira_resolution_germ(KodairaType("IV"))
 
+    @pytest.mark.parametrize(
+        "initial, steps, message",
+        [
+            ([(1, 0), (1, 0)], [[(-1, 1), (0, 1)]], "component index=-1 must be >= 0"),
+            ([(1, 0)], [[(5, 1)]], "component index=5 must be < 1, the component count"),
+            # the first step's exceptional component is index 1 only from the second step on
+            ([(1, 0)], [[(0, 1), (1, 1)]], "component index=1 must be < 1, the component count"),
+        ],
+    )
+    def test_component_index_in_range(self, initial, steps, message):
+        with pytest.raises(PreconditionError) as info:
+            germ_from_blowups(initial, steps)
+        assert str(info.value) == message
+
     def test_snc_types_have_trivial_boundary(self):
         for tag in ("Istar", "IIstar", "IIIstar", "IVstar"):
             germ = kodaira_resolution_germ(KodairaType(tag))

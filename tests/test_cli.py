@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import pathlib
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from complements import cli
 from complements.cli import run
 
 INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -164,6 +166,52 @@ class TestJsonOutput:
         assert payload["torsion_index"] == 6
 
 
+# exact stdout of every handler branch the classes above do not pin
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        ("phi --set 0,1 --value 3/4 --eps 1/10 --json", '{"member":true}\n'),
+        ("phi --set 0,1 --value 1/3 --eps 1/2", "false\n"),
+        ("phi --set 0,1 --m-max 4 --json", '["0","1/2","2/3","3/4","1"]\n'),
+        ("phi --set 0,1 --value 1/3 --json", '{"member":false,"witness":null}\n'),
+        ("phi --set 0,1 --value 1/3", "no\n"),
+        ("closure --set 0,2/3,1 --check-idempotent --json", '{"closure":["0","1/3","2/3","1"],"idempotent":true}\n'),
+        ("closure --set 0,2/3,1 --check-idempotent", "{0,1/3,2/3,1} idempotent=true\n"),
+        ("closure --set 0,1/2,2/3,3/4,5/6,1 --interval --json", '{"interval":12}\n'),
+        ("rn --set 0,1 --n 1,2,3,4,6 --json", '["0","1/6","1/4","1/3","1/2","2/3","3/4","5/6","1"]\n'),
+        ("pn --n 2 --value 1/2 --json", '{"ok":true}\n'),
+        ("complement --boundary 1,2/3,1/3 --n 1 --variant geq --json", "null\n"),
+        ("min-index --boundary 1/2,2/3,5/6 --variant geq --json", '{"min_index":6}\n'),
+        ("min-index --boundary 1,1,1/2 --n-max 50 --json", '{"min_index":null}\n'),
+        ("diff --n 3 --terms 1:1/2 --json", '{"value":"5/6"}\n'),
+        ("diff --n 2 --terms 1:1/2 --set 0,1 --eps 0 --json", '{"value":"3/4","witness":{"value":"3/4","r":"1","m":4},"in_tail":false}\n'),
+        ("diff --n 2 --terms 1:1/2 --set 0,1 --eps 0", "3/4 (r=1, m=4)\n"),
+        ("diff --n 3 --terms 1:9/11 --set 0,1 --eps 1/5 --json", '{"value":"31/33","witness":null,"in_tail":true}\n'),
+        ("diff --n 3 --terms 1:9/11 --set 0,1 --eps 1/5", "31/33 (tail)\n"),
+        ("kodaira --type IIstar --json", '{"d_P":"5/6"}\n'),
+        ("ruled-moduli --e 1 --sections 1/2:0,1/2:1,1/2:1,1/2:1 --json", '{"degree":"1/2"}\n'),
+        ("pair-discr --lambdas 1,15/16 --eps 1/8 --json", '{"sum":"31/16","bound_ok":false,"blowup_discrepancy":"-15/16"}\n'),
+        ("radius --boundary 2/3,1/2 --n 3 --json", '{"radius":"1/12"}\n'),
+    ],
+)
+def test_exact_stdout(capsys, argv, stdout):
+    assert invoke(capsys, *argv.split()) == (0, stdout, "")
+
+
+def test_handlers_leave_output_to_run():
+    # one output path: handlers yield (payload, text) and only run prints
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    handlers = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("_cmd_")]
+    assert len(handlers) == 16
+    for handler in handlers:
+        for node in ast.walk(handler):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                assert name not in ("print", "json.dumps"), f"{handler.name} calls {name}"
+            if isinstance(node, ast.Attribute) and node.attr == "json":
+                raise AssertionError(f"{handler.name} reads {ast.unparse(node)}")
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         code, _, _ = invoke(capsys, "n1", "--set", "0,1")  # missing caps
@@ -196,6 +244,20 @@ class TestExitCodes:
         code, out, err = invoke(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: malformed integer: {token!r}\n")
 
+    @pytest.mark.parametrize(
+        "argv, what, item",
+        [
+            (["diff", "--n", "2", "--terms", "1:1/2,2"], "term", "2"),
+            (["lct", "--germ", "1"], "germ", "1"),
+            (["lct", "--germ", "2:1/2,3"], "germ", "3"),
+            (["elliptic", "--genus", "0", "--fibers", "P1"], "fibre", "P1"),
+            (["ruled-moduli", "--e", "1", "--sections", "1/2"], "section", "1/2"),
+        ],
+    )
+    def test_malformed_pair_in_list(self, capsys, argv, what, item):
+        message = f"error: malformed {what} entry {item!r} (expected a:b)\n"
+        assert invoke(capsys, *argv) == (1, "", message)
+
     def test_negative_cap_in_list(self, capsys):
         # a leading "-" reads as an option unless the value is attached with "="
         code, _, _ = invoke(capsys, "n1-sweep", "--set", "0,1", "--m-max", "-1,3", "--n-max", "5")
@@ -214,6 +276,10 @@ class TestExitCodes:
             (["elliptic", "--genus", "-1"], "base_genus=-1 must be >= 0"),
             (["elliptic", "--genus", "0", "--j-degree", "-1"], "j_degree=-1 must be >= 0"),
             (["approx", "--b", "1/2", "--q-max", "2", "--floor-n", "0"], "N=0 must be >= 1"),
+            (["complement", "--boundary", "1/2,1/2", "--n", "2", "-I", "0"], "I=0 must be >= 1"),
+            (["complement", "--boundary", "1/2,1/2", "--n", "2", "-I", "-3"], "I=-3 must be >= 1"),
+            (["complement", "--boundary", "1,1,1", "--n", "1", "-I", "0"], "I=0 must be >= 1"),
+            (["complement", "--boundary", "1/2", "--n", "0", "-I", "0"], "index n=0 must be >= 1"),
         ],
     )
     def test_integer_below_bound(self, capsys, argv, message):

@@ -10,6 +10,7 @@ from complements import (
     BoundaryP1,
     ComplementCertificate,
     ComplementVariant,
+    DomainError,
     EnumerationCapError,
     MultSet,
     PreconditionError,
@@ -285,3 +286,16 @@ class TestCertificateStructure:
     def test_numerators_capped_by_n(self):
         with pytest.raises(PreconditionError):
             ComplementCertificate(2, (3, 1))
+
+    @pytest.mark.parametrize(
+        "numerators, extras",
+        [((1.5, 2.5), (2,)), ((F(3, 2), F(5, 2)), (2,)), ((1, 3), (2.0,)), ((1, 3), (F(2),))],
+    )
+    def test_numerators_are_integers(self, numerators, extras):
+        with pytest.raises(DomainError, match="^not an integer: "):
+            ComplementCertificate(3, numerators, extras)
+
+    def test_stores_tuples(self):
+        cert = ComplementCertificate(3, [1, 3], [2])
+        assert (cert.numerators, cert.extra_points) == ((1, 3), (2,))
+        assert cert == ComplementCertificate(3, (1, 3), (2,))
