@@ -84,7 +84,7 @@ def _cmd_closure(args):
 def _cmd_rn(args):
     R = MultSet.parse(args.set)
     ns = [parse_int(p) for p in split_items(args.n)]
-    out = hyperstandard.r_n_set(R, ns[0]) if len(ns) == 1 else hyperstandard.r_prime(R, ns)
+    out = hyperstandard.r_prime(R, ns)
     yield out.to_json(), _fmt_set(out)
 
 

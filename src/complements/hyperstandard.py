@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .rationals import MultSet, PreconditionError, exact, exact_int, exact_unit, lcm_denominators
+from .rationals import (
+    DomainError, MultSet, PreconditionError, clip, exact, exact_int, exact_unit, lcm_denominators,
+)
 
 
 @dataclass(frozen=True)
@@ -108,47 +110,52 @@ def phi_eps_contains(R: MultSet, eps: Fraction, a: Fraction) -> bool:
     return a >= 1 - eps or phi_contains(R, a) is not None
 
 
+# A set whose cheapest part costs eps = min(1 - r) is walked max(R) // eps
+# parts deep; the walk's time grows with the square of that depth.
+_WALK_DEPTH_BUDGET = 1000
+
+
 @functools.lru_cache(maxsize=512)
 def closure_elements(R: MultSet) -> tuple[ClosureElement, ...]:
     """Enumerate the closed set with one witness per value.
 
-    Termination: a part with r < 1 costs at least ``eps = min(1 - r)`` per
-    copy, so ``m * len(parts) <= r0 / eps``; the search walks multisets of
-    parts with that budget and keeps nonnegative values only.  Inputs are
-    immutable, so results are cached.
+    One depth-first walk per r0, over multisets of parts cheapest first,
+    records each new value ``r0 - sum(1 - r_i)`` as its last part is pushed.
+    Every witness has m = 1: ``r0 - m*s`` with m >= 2 is ``r0 - s'``, where
+    s' takes each part of s m times; the m = 1 walk from r0 visits s' first,
+    so walks with m >= 2 add no value and no witness.  Inputs are immutable,
+    so results are cached.
     """
     if len(R) == 0:
         raise PreconditionError("closure of the empty set")
-    # Cheapest parts first so the search can cut off whole suffixes.
+    # Cheapest parts first, so a part that does not fit ends its node.
     pool = sorted((r for r in R if r < 1), reverse=True)
+    costs = [1 - r for r in pool]
+    depth = max(R) // costs[0] if pool else 0
+    if depth > _WALK_DEPTH_BUDGET:
+        raise DomainError(
+            f"closure of {clip(R)} walks {depth} parts deep, "
+            f"over the budget of {_WALK_DEPTH_BUDGET} parts"
+        )
     found: dict[Fraction, ClosureElement] = {
         r0: ClosureElement(r0, r0, 1, ()) for r0 in R
     }
-    if not pool:
-        return tuple(found[v] for v in sorted(found))
-    eps = min(1 - r for r in pool)
-    costs = [1 - r for r in pool]
-
-    def walk(r0: Fraction, m: int, start: int, cost: Fraction, parts: list[Fraction]):
-        # cost = sum(1 - r_i) so far; value = r0 - m * cost.
-        if parts:
-            value = r0 - m * cost
-            if value not in found:
-                found[value] = ClosureElement(value, r0, m, tuple(parts))
-        for i in range(start, len(pool)):
-            new_cost = cost + costs[i]
-            if m * new_cost > r0:
-                break
-            parts.append(pool[i])
-            walk(r0, m, i, new_cost, parts)
-            parts.pop()
-
     for r0 in R:
-        if r0 == 0:
-            continue
-        m_cap = math.floor(r0 / eps)
-        for m in range(1, m_cap + 1):
-            walk(r0, m, 0, Fraction(0), [])
+        # One (pool index, cost before it) per pushed part, to resume from.
+        stack: list[tuple[int, Fraction]] = []
+        i, cost = 0, Fraction(0)
+        while True:
+            if i < len(pool) and cost + costs[i] <= r0:
+                stack.append((i, cost))
+                cost += costs[i]
+                value = r0 - cost
+                if value not in found:
+                    found[value] = ClosureElement(value, r0, 1, tuple(pool[j] for j, _ in stack))
+            elif stack:
+                i, cost = stack.pop()
+                i += 1
+            else:
+                break
     return tuple(found[v] for v in sorted(found))
 
 
@@ -158,7 +165,15 @@ def closure(R: MultSet) -> MultSet:
 
 
 def closure_is_idempotent(R: MultSet) -> bool:
-    """Whether closing twice adds nothing.  Checkable, not assumed."""
+    """Whether closing twice adds nothing.  Checked, though it always holds.
+
+    Let S be the nonempty sums of costs ``1 - r`` (r in R, r < 1, with
+    repetition); S is closed under addition.  Each element of closure(R) is
+    ``r0 - s`` with r0 in R and s in S or s = 0.  As a part (value below 1)
+    it costs ``(1 - r0) + s``, which lies in S.  So an element of the second
+    closure, ``(r0 - s) - t`` with t a sum of such costs and value >= 0, is
+    ``r0 - (s + t)`` with ``s + t <= r0`` in S, already in closure(R).
+    """
     once = closure(R)
     return closure(once) == once
 

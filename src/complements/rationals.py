@@ -54,7 +54,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Canonical text form: ``"p/q"`` in lowest terms, ``"p"`` for integers."""
-    return str(Fraction(x))
+    return str(exact(x))
 
 
 def parse_int(text: str) -> int:

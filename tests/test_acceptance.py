@@ -463,7 +463,16 @@ def _int_by_syntax(node):
 
 def audit_exactness(source, name):
     """Raise AssertionError at the first floating-point code path in the source."""
-    for node in ast.walk(ast.parse(source, filename=name)):
+    tree = ast.parse(source, filename=name)
+    # The body of rationals.exact, which rejects floats first, is the one
+    # place a caller's value may become a Fraction directly.
+    boundary = {
+        id(node)
+        for fn in tree.body
+        if name == "rationals.py" and isinstance(fn, ast.FunctionDef) and fn.name == "exact"
+        for node in ast.walk(fn)
+    }
+    for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
             raise AssertionError(f"float literal {node.value} in {name}")
         if isinstance(node, ast.Name) and node.id == "float":
@@ -485,7 +494,7 @@ def audit_exactness(source, name):
         # Caller input becomes a Fraction only through rationals.exact, which
         # rejects floats; Fraction(x) of a variable would accept one.
         if (
-            name != "rationals.py"
+            id(node) not in boundary
             and isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id == "Fraction"
@@ -529,9 +538,56 @@ def test_exactness_audit_flags_float_clock(clock):
 
 @pytest.mark.parametrize("coercion", ["x = Fraction(x)", "x = Fraction(b.eps)", "x = Fraction(bs[0])"])
 def test_exactness_audit_flags_unchecked_coercion(coercion):
+    for name in ("snippet.py", "rationals.py"):
+        with pytest.raises(AssertionError, match="Fraction\\(\\) of a variable"):
+            audit_exactness(coercion, name)
+    audit_exactness(f"def exact(x):\n    {coercion}", "rationals.py")
     with pytest.raises(AssertionError, match="Fraction\\(\\) of a variable"):
-        audit_exactness(coercion, "snippet.py")
-    audit_exactness(coercion, "rationals.py")
+        audit_exactness(f"def exact(x):\n    {coercion}", "snippet.py")
+
+
+def recursive_functions(source):
+    """Names of the functions in the source that call themselves, by name
+    or as a method through ``self`` or ``cls``."""
+    names = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            isinstance(node, ast.Call)
+            and (
+                (isinstance(node.func, ast.Name) and node.func.id == fn.name)
+                or (
+                    isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("self", "cls")
+                    and node.func.attr == fn.name
+                )
+            )
+            for node in ast.walk(fn)
+        ):
+            names.append(fn.name)
+    return names
+
+
+def test_no_function_in_the_package_calls_itself():
+    # A recursive walk fails on deep valid input at the recursion limit.
+    pkg_dir = pathlib.Path(complements.__file__).parent
+    found = [
+        f"{path.name}: {fn}"
+        for path in sorted(pkg_dir.glob("*.py"))
+        for fn in recursive_functions(path.read_text())
+    ]
+    assert found == []
+
+
+def test_recursion_audit_flags_self_calls():
+    source = (
+        "def outer(n):\n"
+        "    def walk(k):\n        return walk(k - 1) if k else 0\n"
+        "    return walk(n)\n"
+        "class C:\n    def f(self, k):\n        return self.f(k - 1) if k else g(k)\n"
+        "def g(k):\n    return C().f(k)\n"
+    )
+    assert sorted(recursive_functions(source)) == ["f", "walk"]
 
 
 @pytest.mark.parametrize("checked", ["x = exact(x)", "x = Fraction(len(p))", "x = Fraction(1, n)"])

@@ -304,6 +304,17 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "n1-sweep", "--set", "0,1", "--m-max", caps, "--n-max", "10")
         assert (code, out, err) == (1, "", f"error: empty cap list: {caps!r}\n")
 
+    @pytest.mark.parametrize(
+        "argv", [["closure"], ["rn", "--n", "2"], ["diff", "--n", "2", "--terms", "1:1/2"]]
+    )
+    def test_closure_over_depth_budget(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv, "--set", "0,1000/1001,1")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: closure of MultSet({0, 1000/1001, 1}) walks 1001 parts deep, "
+            "over the budget of 1000 parts\n"
+        )
+
     def test_deterministic_output(self, capsys):
         a = invoke(capsys, "n1", "--set", "0,1", "--m-max", "20", "--n-max", "10", "--json")
         b = invoke(capsys, "n1", "--set", "0,1", "--m-max", "20", "--n-max", "10", "--json")

@@ -1,4 +1,7 @@
+import inspect
 import itertools
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -38,6 +41,32 @@ def brute_closure(R: MultSet, m_cap: int = 8, s_cap: int = 8) -> set[Fraction]:
                     if v >= 0:
                         out.add(v)
     return out
+
+
+def multiset_walk_oracle(R: MultSet) -> list[tuple]:
+    """``(value, r0, m, parts)`` per value from the recursive walk over every
+    multiplier m that ``closure_elements`` ran before its one walk per r0."""
+    pool = sorted((r for r in R if r < 1), reverse=True)
+    found = {r0: (r0, r0, 1, ()) for r0 in R}
+    costs = [1 - r for r in pool]
+
+    def walk(r0, m, start, cost, parts):
+        if parts:
+            value = r0 - m * cost
+            if value not in found:
+                found[value] = (value, r0, m, tuple(parts))
+        for i in range(start, len(pool)):
+            new_cost = cost + costs[i]
+            if m * new_cost > r0:
+                break
+            parts.append(pool[i])
+            walk(r0, m, i, new_cost, parts)
+            parts.pop()
+
+    for r0 in R:
+        for m in range(1, int(r0 / min(costs, default=1)) + 1):
+            walk(r0, m, 0, F(0), [])
+    return [found[v] for v in sorted(found)]
 
 
 class TestPhiContains:
@@ -138,6 +167,28 @@ class TestClosure:
     def test_against_brute_oracle(self, text):
         R = MultSet(text.split(","))
         assert set(closure(R).elements) == brute_closure(R)
+
+    def test_walk_matches_multiset_walk_oracle(self):
+        rng = random.Random("closure-walk")
+        cases = 0
+        for _ in range(200):
+            dens = [rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
+            R = MultSet(F(rng.randint(0, d), d) for d in dens)
+            for S in (R, closure(R)):
+                if len(S) <= 16:
+                    got = [(e.value, e.r0, e.m, e.parts) for e in closure_elements(S)]
+                    assert got == multiset_walk_oracle(S), S
+                    cases += 1
+        assert cases > 300
+
+    def test_walk_needs_no_recursion(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            elements = closure_elements(MultSet.parse("0,199/200,1"))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(elements) == 201
 
     def test_witnesses_validate(self):
         for el in closure_elements(MultSet.parse("0,1/2,2/3,3/4,5/6,1")):

@@ -78,6 +78,7 @@ ENTRY_POINTS = [
     ("phi_eps_contains.a", lambda x: phi_eps_contains(R01, F(1, 10), x), [F(2, 3), F(1)]),
     ("pn_contains", lambda x: pn_contains(2, x), [F(1, 2), F(1)]),
     ("pn_lemma_check", lambda x: pn_lemma_check(R01, 2, x, 5), [F(1, 3), F(0)]),
+    ("format_rational", format_rational, [F(1, 2), F(5)]),
     ("diff_in_hyperstandard", lambda x: diff_in_hyperstandard(R01, x, DiffInput(2, ((1, F(1, 2)),))), [F(1, 10), F(0)]),
 ]
 
