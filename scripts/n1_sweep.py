@@ -6,7 +6,8 @@ one JSON line per cap, so stabilization can be checked by eye or by diff.
 The sweep walks the boundaries once, at the largest cap, before the first
 report, so the first line's ``ns`` (integer nanoseconds) covers that single
 walk and each later line's covers only reading its own cap's report off it.
-Invalid input prints ``error: <message>`` on stderr and exits 1.
+Invalid input prints ``error: <message>`` on stderr and exits 1; a missing
+flag or a non-integer ``--n-max`` is a usage error (exit 2).
 
     python3 scripts/n1_sweep.py --set 0,1 --caps 20:60 --n-max 10
     python3 scripts/n1_sweep.py --set 0,1/2,2/3,3/4,5/6,1 --caps 12:48 --n-max 200 --witnesses
@@ -18,6 +19,7 @@ import sys
 import time
 
 from complements import DomainError, MultSet, enumerate_N1_sweep
+from complements.cli import int_flag
 from complements.rationals import clip, parse_int, split_items
 
 
@@ -36,7 +38,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--set", required=True, help="multiplicity set, e.g. 0,1/2,2/3,3/4,5/6,1")
     ap.add_argument("--caps", required=True, help="lo:hi range or comma list of truncation caps")
-    ap.add_argument("--n-max", type=int, required=True)
+    ap.add_argument("--n-max", type=int_flag, required=True)
     ap.add_argument("--witnesses", action="store_true", help="include one witness per index")
     args = ap.parse_args()
 

@@ -8,6 +8,7 @@ Exit status: 0 on success, 1 on domain errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -229,6 +230,19 @@ def _cmd_radius(args):
 # ---------------------------------------------------------------------------
 # parser
 
+def int_flag(text: str) -> int:
+    """argparse ``type`` of every integer flag: ``int(text)``, with a rejected
+    value echoed cut to 80 characters (argparse's own message echoes it whole)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip(text)}") from None
+
+
+# Built once per process and reused: argparse keeps per-parse state only in the
+# Namespace it returns, and usage errors and --help look up sys.stdout,
+# sys.stderr and the terminal width when they print.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="complements",
@@ -246,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help="multiplicity set, e.g. 0,1/2,1")
     p.add_argument("--value", help="value to test for membership")
     p.add_argument("--eps", help="tail width for semi-hyperstandard membership")
-    p.add_argument("--m-max", type=int, help="truncation bound for enumeration")
+    p.add_argument("--m-max", type=int_flag, help="truncation bound for enumeration")
 
     p = add("closure", _cmd_closure, "the closed multiplicity set")
     p.add_argument("--set", required=True)
@@ -258,36 +272,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="one index or a comma list")
 
     p = add("pn", _cmd_pn, "floor criterion membership / truncated inclusion check")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int_flag, required=True)
     p.add_argument("--value")
     p.add_argument("--set")
     p.add_argument("--eps")
-    p.add_argument("--m-max", type=int)
+    p.add_argument("--m-max", type=int_flag)
 
     p = add("complement", _cmd_complement, "construct an n-complement certificate")
     p.add_argument("--boundary", required=True, help="e.g. 1/2,2/3,5/6 or a=1/2,b=2/3")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int_flag, required=True)
     p.add_argument("--variant", default="definition", choices=["definition", "geq"])
-    p.add_argument("--index", "-I", type=int, default=1, help="scale the certificate to nI")
+    p.add_argument("--index", "-I", type=int_flag, default=1, help="scale the certificate to nI")
 
     p = add("min-index", _cmd_min_index, "least admissible complement index")
     p.add_argument("--boundary", required=True)
-    p.add_argument("--index", "-I", type=int, default=1, help="divisibility constraint")
-    p.add_argument("--n-max", type=int, default=1000)
+    p.add_argument("--index", "-I", type=int_flag, default=1, help="divisibility constraint")
+    p.add_argument("--n-max", type=int_flag, default=1000)
     p.add_argument("--variant", default="definition", choices=["definition", "geq"])
 
     p = add("n1", _cmd_n1, "minimal-index set over all admissible boundaries")
     p.add_argument("--set", required=True)
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--m-max", type=int_flag, required=True)
+    p.add_argument("--n-max", type=int_flag, required=True)
 
     p = add("n1-sweep", _cmd_n1_sweep, "minimal-index sets across truncation caps")
     p.add_argument("--set", required=True)
     p.add_argument("--m-max", required=True, help="comma list of caps")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=int_flag, required=True)
 
     p = add("diff", _cmd_diff, "adjunction multiplicity (and its membership certificate)")
-    p.add_argument("--n", type=int, required=True, help="index of the divisor germ")
+    p.add_argument("--n", type=int_flag, required=True, help="index of the divisor germ")
     p.add_argument("--terms", help="k:b pairs, e.g. 1:1/2,2:2/3")
     p.add_argument("--set", help="certify membership over this multiplicity set")
     p.add_argument("--eps")
@@ -300,12 +314,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True, help="mI_n:m, II, III, IV, Istar, ... IVstar")
 
     p = add("elliptic", _cmd_elliptic, "canonical bundle formula degrees")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=int_flag, required=True)
     p.add_argument("--fibers", help="label:type pairs, e.g. P1:mI_n:2,P2:II")
-    p.add_argument("--j-degree", type=int, default=0)
+    p.add_argument("--j-degree", type=int_flag, default=0)
 
     p = add("ruled-moduli", _cmd_ruled_moduli, "moduli degree for four sections of a ruled surface")
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--e", type=int_flag, required=True)
     p.add_argument("--sections", required=True, help="d:a pairs, exactly four")
 
     p = add("pair-discr", _cmd_pair_discr, "surface-germ multiplicity bound")
@@ -314,13 +328,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("approx", _cmd_approx, "simultaneous rational approximation")
     p.add_argument("--b", required=True, help="vector, e.g. 2/3,1/3")
-    p.add_argument("--q-max", type=int, required=True)
-    p.add_argument("--floor-n", type=int, help="also verify the floor inequality at N")
+    p.add_argument("--q-max", type=int_flag, required=True)
+    p.add_argument("--floor-n", type=int_flag, help="also verify the floor inequality at N")
     p.add_argument("--b0", help="original vector for the floor check (defaults to --b)")
 
     p = add("radius", _cmd_radius, "openness radius of the complement condition")
     p.add_argument("--boundary", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int_flag, required=True)
 
     return top
 

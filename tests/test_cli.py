@@ -320,6 +320,61 @@ class TestExitCodes:
         b = invoke(capsys, "n1", "--set", "0,1", "--m-max", "20", "--n-max", "10", "--json")
         assert a == b
 
+    @pytest.mark.parametrize(
+        "value, echo", [("1.5", "'1.5'"), ("7" * 100 + ".5", "'" + "7" * 76 + "...")]
+    )
+    def test_int_flag_echo(self, capsys, value, echo):
+        code, out, err = invoke(capsys, "phi", "--set", "0,1", "--m-max", value)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"complements phi: error: argument --m-max: invalid int value: {echo}\n")
+
+    @pytest.mark.skipif(INT_MAX_STR_DIGITS == 0, reason="no limit on int() digits")
+    def test_oversized_int_flag(self, capsys):
+        sevens = "7" * (INT_MAX_STR_DIGITS + 100)
+        code, out, err = invoke(capsys, "min-index", "--boundary", "1/2", "--n-max", sevens)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "complements min-index: error: argument --n-max: invalid int value: '"
+            + "7" * 76 + "...\n"
+        )
+
+
+# one of each exit path: success, --json, domain error, usage error, --help
+MIXED_ARGV = [
+    ["phi", "--set", "0,1", "--value", "1/2", "--eps", "1/3"],
+    ["phi", "--set", "0,1", "--m-max", "1.5"],
+    ["phi", "--set", "0,1", "--m-max", "4"],
+    ["min-index", "--boundary", "1/2,2/3,5/6", "--n-max", "50", "--variant", "geq", "--json"],
+    ["min-index", "--boundary", "1/2,2/3,5/6"],
+    ["pn", "--n", "1", "--set", "0,2/3,1", "--m-max", "10"],
+    ["n1", "--set", "0,1"],
+    ["frobnicate"],
+    ["--help"],
+    ["approx", "--help"],
+    ["approx", "--b", "2/3,1/3", "--q-max", "100", "--floor-n", "2"],
+    ["approx", "--b", "2/3,1/3", "--q-max", "100"],
+]
+
+
+def test_parser_built_once(capsys):
+    cli._build_parser.cache_clear()
+    codes = [run(argv) for argv in MIXED_ARGV]
+    capsys.readouterr()
+    assert set(codes) == {0, 1, 2}
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_parser_reuse_leaks_no_state(capsys):
+    def fresh(argv):
+        cli._build_parser.cache_clear()
+        return invoke(capsys, *argv)
+
+    expected = [fresh(argv) for argv in MIXED_ARGV]
+    for order in (MIXED_ARGV, MIXED_ARGV[::-1]):
+        cli._build_parser.cache_clear()
+        got = {tuple(argv): invoke(capsys, *argv) for argv in order}
+        assert [got[tuple(argv)] for argv in MIXED_ARGV] == expected
+
 
 def _load_sweep_script():
     path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "n1_sweep.py"
@@ -356,3 +411,10 @@ class TestSweepScript:
     )
     def test_domain_error_exits_one(self, capsys, monkeypatch, argv, message):
         assert self.run_script(capsys, monkeypatch, *argv) == (1, "", f"error: {message}\n")
+
+    def test_malformed_n_max_exits_two(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            self.run_script(capsys, monkeypatch, "--caps", "3:5", "--n-max", "x")
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith("n1_sweep.py: error: argument --n-max: invalid int value: 'x'\n")
