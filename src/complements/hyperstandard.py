@@ -210,12 +210,25 @@ def pn_contains(n: int, a: Fraction) -> bool:
 
 
 def pn_lemma_check(R: MultSet, n: int, eps: Fraction, m_max: int) -> bool:
-    """Check the truncated inclusion ``phi(R, eps) subset P_n``.
+    """Check the inclusion ``phi(R, eps) subset P_n``, for every m.
 
     Requires ``I(R) | n`` and ``eps <= 1/(n+1)``; violations raise a
     distinct :class:`PreconditionError` so callers can probe the failure
     mode.  The interval part ``[1-eps, 1]`` needs no sampling: there
-    ``(n+1)a > n`` forces ``floor((n+1)a) >= n >= n*a``.
+    ``(n+1)a >= n`` forces ``floor((n+1)a) >= n >= n*a``.  The same bound
+    saturates phi(R): ``v = 1 - r/m`` with ``m >= (n+1) r`` has
+    ``(n+1) v >= n``.  So only ``m < ceil((n+1) r)`` is checked, and at
+    most ``m_max`` of those, yet the answer covers every m.
+
+    The inclusion always holds.  Let ``n = kI`` with I = I(R), r = a/I in
+    R with r > 0, ``v = 1 - r/m`` and ``x = n r / m = ka/m``, a multiple of
+    1/m.  Since ``(n+1) v = n + 1 - (x + r/m)`` and ``n v = n - x``, the
+    criterion ``floor((n+1) v) >= n v`` holds iff
+    ``ceil(x + r/m) <= x + 1``, where ``0 < r/m <= 1/m``.  If x is an
+    integer the left side is x + 1.  If not, ``x + r/m <= ceil(x) < x + 1``,
+    because ceil(x) is a multiple of 1/m above x.  r = 0 gives v = 1, which
+    passes.  The check is kept, at its bounded cost, as a check of the
+    arithmetic.
     """
     n = exact_int(n, "n", 1)
     interval = lcm_denominators(R)
@@ -224,4 +237,10 @@ def pn_lemma_check(R: MultSet, n: int, eps: Fraction, m_max: int) -> bool:
     eps = exact(eps)
     if not (0 <= eps <= Fraction(1, n + 1)):
         raise PreconditionError(f"eps={eps} outside [0, 1/{n + 1}]")
-    return all(pn_contains(n, a) for a in phi_enumerate(R, m_max))
+    m_max = exact_int(m_max, "m_max", 1)
+    return all(
+        pn_contains(n, 1 - r / m)
+        for r in R
+        if r > 0
+        for m in range(1, min(m_max + 1, math.ceil((n + 1) * r)))
+    )

@@ -211,6 +211,13 @@ def scan_minimal_indices(
     runs in integers: the degree tests compare the values scaled to their
     common denominator, and each value's row of requirement numerators (one
     per candidate index) is added to the running sums as it is pushed.
+
+    Each row is checked against the GEQ row ``ceil(n v)``, and the check
+    always holds.  For v < 1 in phi(R) and I(R) | n, the lemma proven at
+    :func:`complements.hyperstandard.pn_lemma_check` gives
+    ``floor((n+1) v) >= n v``, and ``floor((n+1) v) <= n v + v < n v + 1``;
+    so ``floor((n+1) v)`` is the least integer ``>= n v``, ``ceil(n v)``.
+    At v = 1 both rows are n.  The check stays as a check of the arithmetic.
     """
     interval = lcm_denominators(R)
     values = [v for v in phi_enumerate(R, m_max) if v > 0]

@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -11,3 +13,12 @@ small_sets = st.frozensets(unit_fractions, min_size=1, max_size=5)
 
 def frac(text: str) -> Fraction:
     return Fraction(text)
+
+
+def load_script(name: str):
+    """``scripts/<name>.py`` imported as a fresh module; its ``main`` does not run."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

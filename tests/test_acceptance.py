@@ -1,12 +1,12 @@
 """Acceptance suite: one pass/fail line per criterion (run with ``pytest -s``).
 
 Every expected value below is either frozen from an independent hand
-computation, re-verified in place by a brute-force oracle, or phrased as a
-stabilization statement across truncation caps.
+computation, re-verified in place by a brute-force oracle from
+``tests/oracles.py``, or phrased as a stabilization statement across
+truncation caps.
 """
 
 import ast
-import math
 import pathlib
 import random
 from fractions import Fraction
@@ -47,6 +47,7 @@ from complements import (
     simultaneous_approx,
     verify_floor_claim,
 )
+from oracles import oracle_min_index, shifted_lattice_grid
 
 F = Fraction
 DEF = ComplementVariant.DEFINITION
@@ -61,21 +62,6 @@ def _report(label, fn):
         print(f"[acceptance] {label}: FAIL")
         raise
     print(f"[acceptance] {label}: PASS")
-
-
-def oracle_min_index(mults, I, n_max, variant):
-    for n in range(I, n_max + 1, I):
-        total = 0
-        for d in mults:
-            if variant is GEQ:
-                total += math.ceil(n * d)
-            elif d == 1:
-                total += n
-            else:
-                total += math.floor((n + 1) * d)
-        if total <= 2 * n:
-            return n
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +316,12 @@ def test_criterion_5h_shifted_lattice_grid():
         members = {n: set(r_n_set(TWELVE_SET, n).elements) for n in range(1, 13)}
         lattices = {n: r_n_set(TWELVE_SET, n) for n in range(1, 13)}
         cases = 0
-        for n in range(1, 13):
-            for r in TWELVE_SET:
-                for m in range(1, 13):
-                    d_f = 1 - F(r, m)
-                    for k in range(1, min(n, 12) + 1):
-                        if F(k, n) < d_f:
-                            continue
-                        for mu in range(1, 13):
-                            r_shift = r + F(k * m, n) - m
-                            d_o = 1 - (F(k, n) - d_f) / mu
-                            assert 0 <= r_shift <= 1
-                            assert r_shift in members[n], (n, k, mu, r, m)
-                            assert d_o == 1 - r_shift / (m * mu)
-                            cases += 1
+        grid = shifted_lattice_grid(TWELVE_SET, range(1, 13), range(1, 13), range(1, 13))
+        for n, r, m, k, mu, r_shift, d_o in grid:
+            assert 0 <= r_shift <= 1
+            assert r_shift in members[n], (n, k, mu, r, m)
+            assert d_o == 1 - r_shift / (m * mu)
+            cases += 1
         assert cases >= 10_000, f"grid too small: {cases}"
         # sanity: the witness really proves phi-membership on a sample
         rng = random.Random(507)

@@ -28,8 +28,11 @@ from complements import (
     phi_enumerate,
     r_n_set,
 )
+from conftest import load_script
+from oracles import shifted_lattice_grid
 
 F = Fraction
+KODAIRA_GERMS = load_script("kodaira_germs")
 ALL_TYPES = [
     KodairaType("mI_n", 1),
     KodairaType("mI_n", 2),
@@ -187,7 +190,7 @@ class TestBlowupOracle:
 
     Components are indexed in creation order; each step lists the
     components through the blown-up point with the local multiplicity of
-    their curve there.
+    their curve there.  The recipes are those of ``scripts/kodaira_germs.py``.
     """
 
     def test_node(self):
@@ -196,38 +199,16 @@ class TestBlowupOracle:
             germ = germ_from_blowups([(m, 0)], [[(0, 2)]])
             assert germ == kodaira_resolution_germ(KodairaType("mI_n", m))
 
-    def test_cusp(self):
-        # II: blow up the cusp, then the tangency with the first exceptional
-        # curve, then the common point of all three
-        germ = germ_from_blowups(
-            [(1, 0)],
-            [
-                [(0, 2)],
-                [(0, 1), (1, 1)],
-                [(0, 1), (1, 1), (2, 1)],
-            ],
-        )
-        assert germ == kodaira_resolution_germ(KodairaType("II"))
+    @pytest.mark.parametrize(
+        "t, initial, steps", KODAIRA_GERMS.RECIPES, ids=[str(t) for t, _, _ in KODAIRA_GERMS.RECIPES]
+    )
+    def test_recipe(self, t, initial, steps):
+        assert germ_from_blowups(initial, steps) == kodaira_resolution_germ(t)
 
-    def test_tangent_pair(self):
-        # III: two reduced components tangent at a point; one blowup leaves
-        # a common triple point, the second separates everything
-        germ = germ_from_blowups(
-            [(1, 0), (1, 0)],
-            [
-                [(0, 1), (1, 1)],
-                [(0, 1), (1, 1), (2, 1)],
-            ],
-        )
-        assert germ == kodaira_resolution_germ(KodairaType("III"))
-
-    def test_triple_point(self):
-        # IV: three reduced components through one point, one blowup suffices
-        germ = germ_from_blowups(
-            [(1, 0), (1, 0), (1, 0)],
-            [[(0, 1), (1, 1), (2, 1)]],
-        )
-        assert germ == kodaira_resolution_germ(KodairaType("IV"))
+    def test_script_reports_every_type_ok(self, capsys):
+        assert KODAIRA_GERMS.main() == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9 and all(line.endswith("ok") for line in lines)
 
     @pytest.mark.parametrize(
         "initial, steps, message",
@@ -378,19 +359,10 @@ class TestDivisorialPartMultiplicities:
 
     def test_small_grid(self):
         R = MultSet.parse("0,1/2,1")
-        for n in (1, 2, 3, 4):
-            lattice = r_n_set(R, n)
-            members = set(lattice.elements)
-            for r in R:
-                for m in (1, 2, 3):
-                    d_f = 1 - F(r, m)
-                    for k in range(1, n + 1):
-                        if F(k, n) < d_f:
-                            continue
-                        for mu in (1, 2, 3):
-                            d_o = 1 - (F(k, n) - d_f) / mu
-                            r_shift = r + F(k * m, n) - m
-                            assert 0 <= r_shift <= 1
-                            assert r_shift in members
-                            assert d_o == 1 - r_shift / (m * mu)
-                            assert phi_contains(lattice, d_o) is not None
+        lattices = {n: r_n_set(R, n) for n in (1, 2, 3, 4)}
+        members = {n: set(lattice.elements) for n, lattice in lattices.items()}
+        for n, r, m, k, mu, r_shift, d_o in shifted_lattice_grid(R, lattices, (1, 2, 3), (1, 2, 3)):
+            assert 0 <= r_shift <= 1
+            assert r_shift in members[n]
+            assert d_o == 1 - r_shift / (m * mu)
+            assert phi_contains(lattices[n], d_o) is not None

@@ -14,22 +14,9 @@ from complements import (
     simultaneous_approx,
     verify_floor_claim,
 )
+from oracles import convergents
 
 F = Fraction
-
-
-def convergents(x: Fraction):
-    """Continued-fraction convergents oracle (independent of the library)."""
-    p_prev, q_prev, p, q = 1, 0, int(x), 1
-    yield F(p, q)
-    frac = x - int(x)
-    while frac != 0:
-        x = 1 / frac
-        a = int(x)
-        frac = x - a
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        yield F(p, q)
 
 
 class TestSimultaneousApprox:

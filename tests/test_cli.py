@@ -1,5 +1,4 @@
 import ast
-import importlib.util
 import json
 import pathlib
 import sys
@@ -8,6 +7,7 @@ import pytest
 
 from complements import cli
 from complements.cli import run
+from conftest import load_script
 
 INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -376,18 +376,10 @@ def test_parser_reuse_leaks_no_state(capsys):
         assert [got[tuple(argv)] for argv in MIXED_ARGV] == expected
 
 
-def _load_sweep_script():
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "n1_sweep.py"
-    spec = importlib.util.spec_from_file_location("n1_sweep", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestSweepScript:
     def run_script(self, capsys, monkeypatch, *argv):
         monkeypatch.setattr(sys, "argv", ["n1_sweep.py", "--set", "0,1", *argv])
-        code = _load_sweep_script().main()
+        code = load_script("n1_sweep").main()
         out, err = capsys.readouterr()
         return code, out, err
 

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -25,26 +24,11 @@ from complements import (
     scale_certificate,
     scan_minimal_indices,
 )
+from oracles import oracle_min_index
 
 F = Fraction
 DEF = ComplementVariant.DEFINITION
 GEQ = ComplementVariant.GEQ
-
-
-def oracle_min_index(mults, I, n_max, variant):
-    """Independent brute force: test the degree inequality at every index."""
-    for n in range(I, n_max + 1, I):
-        total = 0
-        for d in mults:
-            if variant is GEQ:
-                total += math.ceil(n * d)
-            elif d == 1:
-                total += n
-            else:
-                total += math.floor((n + 1) * d)
-        if total <= 2 * n:
-            return n
-    return None
 
 
 boundary_mults = st.lists(

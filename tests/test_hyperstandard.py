@@ -1,5 +1,4 @@
 import inspect
-import itertools
 import random
 import sys
 from fractions import Fraction
@@ -24,49 +23,10 @@ from complements import (
     r_prime,
 )
 from conftest import small_sets, unit_fractions
+from oracles import brute_closure, multiset_walk_oracle, pn_truncation_holds
 
 F = Fraction
 STANDARD = MultSet([0, 1])
-
-
-def brute_closure(R: MultSet, m_cap: int = 8, s_cap: int = 8) -> set[Fraction]:
-    """Independent oracle: plain nested loops over (r0, m, parts)."""
-    pool = [r for r in R if r < 1]
-    out = set(R)
-    for r0 in R:
-        for m in range(1, m_cap + 1):
-            for s in range(1, s_cap + 1):
-                for parts in itertools.combinations_with_replacement(pool, s):
-                    v = r0 - m * sum(1 - p for p in parts)
-                    if v >= 0:
-                        out.add(v)
-    return out
-
-
-def multiset_walk_oracle(R: MultSet) -> list[tuple]:
-    """``(value, r0, m, parts)`` per value from the recursive walk over every
-    multiplier m that ``closure_elements`` ran before its one walk per r0."""
-    pool = sorted((r for r in R if r < 1), reverse=True)
-    found = {r0: (r0, r0, 1, ()) for r0 in R}
-    costs = [1 - r for r in pool]
-
-    def walk(r0, m, start, cost, parts):
-        if parts:
-            value = r0 - m * cost
-            if value not in found:
-                found[value] = (value, r0, m, tuple(parts))
-        for i in range(start, len(pool)):
-            new_cost = cost + costs[i]
-            if m * new_cost > r0:
-                break
-            parts.append(pool[i])
-            walk(r0, m, i, new_cost, parts)
-            parts.pop()
-
-    for r0 in R:
-        for m in range(1, int(r0 / min(costs, default=1)) + 1):
-            walk(r0, m, 0, F(0), [])
-    return [found[v] for v in sorted(found)]
 
 
 class TestPhiContains:
@@ -285,6 +245,18 @@ class TestPnCriterion:
     def test_lemma_eps_cap(self):
         with pytest.raises(PreconditionError):
             pn_lemma_check(STANDARD, 6, F(1, 2), 10)
+
+    def test_lemma_matches_full_enumeration(self):
+        # every set {0, p/d, 1} with d <= 6, every m_max up to 2(n+1)
+        for d in range(2, 7):
+            for p in range(1, d):
+                R = MultSet([0, F(p, d), 1])
+                interval = lcm_denominators(R)
+                for n in (interval, 2 * interval):
+                    for m_max in range(1, 2 * (n + 1) + 1):
+                        assert pn_lemma_check(R, n, F(1, n + 1), m_max) == pn_truncation_holds(
+                            R, n, m_max
+                        ), (R, n, m_max)
 
     @given(small_sets, st.integers(min_value=1, max_value=8))
     @settings(max_examples=60, deadline=None)

@@ -13,74 +13,18 @@ from fractions import Fraction
 import pytest
 
 from complements import (
-    BoundaryP1,
-    ComplementVariant,
     EnumerationCapError,
     MultSet,
-    N1Report,
     PreconditionError,
     enumerate_N1_sweep,
     lcm_denominators,
-    phi_enumerate,
-    point_requirement,
     scan_minimal_indices,
 )
 from complements.cli import run
+from oracles import fraction_scan, per_cap_sweep
 
 F = Fraction
-DEF = ComplementVariant.DEFINITION
-GEQ = ComplementVariant.GEQ
 TWELVE_SET = MultSet.parse("0,1/2,2/3,3/4,5/6,1")
-
-
-def fraction_scan(R, m_max, n_max):
-    """The recursive walk in exact Fraction arithmetic."""
-    interval = lcm_denominators(R)
-    values = [v for v in phi_enumerate(R, m_max) if v > 0]
-    candidates = list(range(interval, n_max + 1, interval))
-    if not candidates:
-        raise PreconditionError(f"n_max={n_max} below I(R)={interval}")
-    req_rows = []
-    for v in values:
-        row = tuple(point_requirement(v, n, DEF) for n in candidates)
-        assert row == tuple(point_requirement(v, n, GEQ) for n in candidates)
-        req_rows.append(row)
-    caps = [2 * n for n in candidates]
-
-    def min_index(sums):
-        for j, n in enumerate(candidates):
-            if sums[j] <= caps[j]:
-                return n
-        return None
-
-    two = F(2)
-    mults = []
-
-    def rec(start, total, sums):
-        if total == two or not mults or mults[-1] < 1:
-            yield tuple(mults), min_index(sums)
-        for i in range(start, len(values)):
-            new_total = total + values[i]
-            if new_total > two:
-                break
-            mults.append(values[i])
-            yield from rec(i, new_total, [s + r for s, r in zip(sums, req_rows[i])])
-            mults.pop()
-
-    yield from rec(0, F(0), [0] * len(candidates))
-
-
-def per_cap_enumerate(R, m_max, n_max):
-    """The enumeration run on its own at one cap, over ``fraction_scan``."""
-    if not any(r > 0 for r in R):
-        raise PreconditionError("R must contain a positive element")
-    witnesses = {}
-    for mults, idx in fraction_scan(R, m_max, n_max):
-        if idx is None:
-            raise EnumerationCapError(mults, n_max)
-        witnesses.setdefault(idx, BoundaryP1.from_mults(mults))
-    order = sorted(witnesses)
-    return N1Report(tuple(order), {i: witnesses[i] for i in order}, (m_max, n_max))
 
 
 def outcomes(reports):
@@ -94,10 +38,6 @@ def outcomes(reports):
     except PreconditionError as exc:
         out.append(("precondition", str(exc)))
     return out
-
-
-def per_cap_sweep(R, caps, n_max):
-    return (per_cap_enumerate(R, cap, n_max) for cap in caps)
 
 
 def random_set(rng):
