@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .hyperstandard import PhiWitness, closure, phi_contains, phi_eps_contains
+from .hyperstandard import PhiWitness, _closure_phi_witness, phi_eps_contains
 from .rationals import (
     DomainError,
     MultSet,
@@ -77,7 +77,9 @@ def diff_in_hyperstandard(R: MultSet, eps: Fraction, inp: DiffInput) -> DiffMemb
     Requires 1 in R, every contributing b semi-hyperstandard over R, and a
     plt germ (multiplicity < 1).  The witness search over the closed set is
     complete for values below 1, so a missing certificate would disprove
-    the containment rather than time out.
+    the containment rather than time out.  It does not list the closed set:
+    the witness is ``phi_contains(closure(R), d)``, found from the cost
+    semigroup of R.
     """
     if Fraction(1) not in R:
         raise PreconditionError("the multiplicity set must contain 1")
@@ -88,7 +90,7 @@ def diff_in_hyperstandard(R: MultSet, eps: Fraction, inp: DiffInput) -> DiffMemb
     d = diff_multiplicity(inp)
     if d >= 1:
         raise DomainError(f"adjunction multiplicity {d} >= 1: germ is not plt")
-    witness = phi_contains(closure(R), d)
+    witness = _closure_phi_witness(R, d)
     if witness is not None:
         return DiffMembership(d, witness, False)
     if d >= 1 - eps:

@@ -17,10 +17,11 @@ the derived sets used everywhere else in the package:
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
 from .rationals import (
     DomainError, MultSet, PreconditionError, clip, exact, exact_int, exact_unit, lcm_denominators,
@@ -115,6 +116,21 @@ def phi_eps_contains(R: MultSet, eps: Fraction, a: Fraction) -> bool:
 _WALK_DEPTH_BUDGET = 1000
 
 
+def _check_walk_depth(R: MultSet) -> None:
+    """Raise ``DomainError`` if the closure walk of R would go over budget.
+
+    Every closure path checks it, the ones that never walk too, so that no
+    output depends on which path a command takes.
+    """
+    pool = [r for r in R if r < 1]
+    depth = max(R) // (1 - max(pool)) if pool else 0
+    if depth > _WALK_DEPTH_BUDGET:
+        raise DomainError(
+            f"closure of {clip(R)} walks {depth} parts deep, "
+            f"over the budget of {_WALK_DEPTH_BUDGET} parts"
+        )
+
+
 @functools.lru_cache(maxsize=512)
 def closure_elements(R: MultSet) -> tuple[ClosureElement, ...]:
     """Enumerate the closed set with one witness per value.
@@ -128,15 +144,10 @@ def closure_elements(R: MultSet) -> tuple[ClosureElement, ...]:
     """
     if len(R) == 0:
         raise PreconditionError("closure of the empty set")
+    _check_walk_depth(R)
     # Cheapest parts first, so a part that does not fit ends its node.
     pool = sorted((r for r in R if r < 1), reverse=True)
     costs = [1 - r for r in pool]
-    depth = max(R) // costs[0] if pool else 0
-    if depth > _WALK_DEPTH_BUDGET:
-        raise DomainError(
-            f"closure of {clip(R)} walks {depth} parts deep, "
-            f"over the budget of {_WALK_DEPTH_BUDGET} parts"
-        )
     found: dict[Fraction, ClosureElement] = {
         r0: ClosureElement(r0, r0, 1, ()) for r0 in R
     }
@@ -164,18 +175,126 @@ def closure(R: MultSet) -> MultSet:
     return MultSet(e.value for e in closure_elements(R))
 
 
+class _CostMonoid(NamedTuple):
+    """closure(R) in integers: R scaled by D, the lcm of its denominators.
+
+    Each part r < 1 costs ``D - rD``; M holds the sums of costs, with 0.  So
+    ``closure(R)*D = {t - s : t in tops, s in M, s <= t}`` with ``tops = R*D``.
+    ``apery[j]`` is the least s in M with ``s = j (mod step)``, ``step`` the
+    least cost, for each j that has one no larger than ``max(tops)``: the
+    Apery set, cut at max(tops).  So ``0 <= s <= max(tops)`` lies in M exactly
+    when ``s >= apery[s % step]``, and the s in M up to ``t`` are the
+    progressions ``apery[j] + k*step``.
+    """
+
+    scale: int
+    tops: tuple[int, ...]
+    step: int
+    apery: dict[int, int]
+
+    def __contains__(self, s: int) -> bool:
+        """``s in M``, for ``0 <= s <= max(tops)``."""
+        w = self.apery.get(s % self.step)
+        return w is not None and s >= w
+
+    def progressions(self) -> Iterator[range]:
+        """closure(R)*D as ranges: ``t - w - k*step`` for each t and Apery w <= t."""
+        for t in self.tops:
+            for w in self.apery.values():
+                if w <= t:
+                    yield range((t - w) % self.step, t - w + 1, self.step)
+
+
+def _cost_monoid(R: MultSet) -> _CostMonoid:
+    """The Apery set of R's costs by Dijkstra over the residues mod the least
+    cost, stopped at max(R)*D: the minimal-path method of Nijenhuis (1979).
+
+    It settles at most ``min(step, |M up to max(tops)|)`` residues, each with
+    one push per cost, so it never lists closure(R).
+    """
+    _check_walk_depth(R)
+    D = lcm_denominators(R)
+    tops = tuple(r.numerator * (D // r.denominator) for r in R)
+    top = max(tops)
+    costs = sorted({D - t for t in tops if t < D})
+    step = costs[0] if costs else top + 1  # no costs: M up to top is {0}
+    apery: dict[int, int] = {}
+    heap = [(0, 0)]
+    while heap:
+        w, j = heapq.heappop(heap)
+        if j in apery:
+            continue
+        apery[j] = w
+        for c in costs:
+            if w + c > top:
+                break
+            if (w + c) % step not in apery:
+                heapq.heappush(heap, (w + c, (w + c) % step))
+    return _CostMonoid(D, tops, step, apery)
+
+
 def closure_is_idempotent(R: MultSet) -> bool:
     """Whether closing twice adds nothing.  Checked, though it always holds.
 
-    Let S be the nonempty sums of costs ``1 - r`` (r in R, r < 1, with
-    repetition); S is closed under addition.  Each element of closure(R) is
-    ``r0 - s`` with r0 in R and s in S or s = 0.  As a part (value below 1)
-    it costs ``(1 - r0) + s``, which lies in S.  So an element of the second
-    closure, ``(r0 - s) - t`` with t a sum of such costs and value >= 0, is
-    ``r0 - (s + t)`` with ``s + t <= r0`` in S, already in closure(R).
+    Two facts about ``once = closure(R)`` are checked, in the integers of
+    :class:`_CostMonoid` (scale D, costs monoid M, top = max(R)*D):
+
+    1. ``once*D`` is exactly ``{t - s : t in R*D, s in M, s <= t}``, as
+       generated from the Apery progressions: no value extra, none missing;
+    2. each value ``v < 1`` of once costs ``D - vD``, which lies in M whenever
+       it is at most top.
+
+    They imply idempotence.  An element of closure(once) is ``u - s'/D``
+    with u in once and s' a sum of costs ``D - vD`` of values v < 1 of once,
+    with ``s' <= uD <= top``.  Each of those costs is at most s', hence at
+    most top, so lies in M by (2), and so does s'.  By (1), ``uD = t - s``
+    with s in M, so ``(u - s'/D)*D = t - (s + s')`` with s + s' in M and
+    at most t: by (1) again, a value of once.  (1) gives (2) as well, since
+    ``D - vD = (D - t) + s`` with ``D - t`` a cost or 0, so (2) checks the
+    membership test against the progressions.  Each check costs
+    O(|R| * |closure(R)|); recomputing closure(once) cost the square.
     """
     once = closure(R)
-    return closure(once) == once
+    costs = _cost_monoid(R)
+    D = costs.scale
+    if any(D % v.denominator for v in once):
+        return False
+    scaled = {v.numerator * (D // v.denominator) for v in once}
+    if scaled != set().union(*costs.progressions()):
+        return False
+    top = max(costs.tops)
+    return all(D - u in costs for u in scaled if 0 < D - u <= top)
+
+
+def _closure_phi_witness(R: MultSet, a: Fraction) -> PhiWitness | None:
+    """``phi_contains(closure(R), a)`` for ``a < 1``, without listing closure(R).
+
+    phi_contains takes the least r in the set with ``r = m(1 - a)``, m >= 1
+    an integer: the least m.  With ``(1 - a)D = p/q`` in lowest terms,
+    ``rD = mp/q`` is an integer exactly when q divides m, so the witness is
+    the least positive multiple x of p in ``closure(R)*D``, with ``r = x/D``
+    and ``m = xq/p``.  On each progression ``lo + k*step`` that is the least
+    k >= 0 with ``lo + k*step > 0`` and ``k*step = -lo (mod p)``: one linear
+    congruence per progression, where testing m = 1, 2, ... in turn could
+    take up to D membership tests.
+    """
+    a = exact_unit(a, "a=")
+    costs = _cost_monoid(R)
+    gap = (1 - a) * costs.scale
+    p, q = gap.numerator, gap.denominator
+    h = math.gcd(costs.step, p)
+    mod = p // h
+    inverse = pow(costs.step // h, -1, mod)
+    best = None
+    for prog in costs.progressions():
+        if prog.start % h:
+            continue
+        x = prog.start + (-prog.start // h * inverse % mod) * costs.step
+        if x == 0:
+            x = mod * costs.step  # the next solution: r must be positive
+        if x in prog and (best is None or x < best):
+            best = x
+    return None if best is None else PhiWitness(a, Fraction(best, costs.scale), best // p * q)
 
 
 def r_n_set(R: MultSet, n: int) -> MultSet:

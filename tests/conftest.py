@@ -1,6 +1,5 @@
 import importlib.util
 import pathlib
-from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -9,10 +8,6 @@ from hypothesis import strategies as st
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=24)
 
 small_sets = st.frozensets(unit_fractions, min_size=1, max_size=5)
-
-
-def frac(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def load_script(name: str):

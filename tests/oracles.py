@@ -138,6 +138,30 @@ def multiset_walk_oracle(R):
     return [found[v] for v in sorted(found)]
 
 
+def walk_closure(R):
+    """The values of ``multiset_walk_oracle``: checks ``hyperstandard.closure``."""
+    return {value for value, *_ in multiset_walk_oracle(R)}
+
+
+def closed_twice_is_closed(R):
+    """Checks ``hyperstandard.closure_is_idempotent``: close R, close the
+    result again and compare, both with ``walk_closure``.  Its cost grows
+    with the square of the closure's size."""
+    once = walk_closure(R)
+    return walk_closure(once) == once
+
+
+def least_r_witness(values, a):
+    """Checks the witnesses of ``adjunction.diff_in_hyperstandard``: ``(r, m)``
+    for the least r > 0 in ``values`` with ``r = m(1 - a)``, m a positive
+    integer, or None; for ``a < 1``."""
+    for r in sorted(values):
+        m = r / (1 - a)
+        if r > 0 and m.denominator == 1:
+            return r, int(m)
+    return None
+
+
 def pn_truncation_holds(R, n, m_max):
     """Checks ``hyperstandard.pn_lemma_check``: the floor criterion
     ``floor((n+1) v) >= n v`` at every value ``v = 1 - r/m`` with

@@ -15,7 +15,6 @@ import pytest
 
 import complements
 from complements import (
-    ApproxResult,
     BoundaryP1,
     ComplementVariant,
     DiffInput,
@@ -47,7 +46,7 @@ from complements import (
     simultaneous_approx,
     verify_floor_claim,
 )
-from oracles import oracle_min_index, shifted_lattice_grid
+from oracles import least_r_witness, oracle_min_index, shifted_lattice_grid, walk_closure
 
 F = Fraction
 DEF = ComplementVariant.DEFINITION
@@ -285,9 +284,10 @@ def test_criterion_5f_divisorial_part():
 def test_criterion_5g_diff_containment():
     def check():
         rng = random.Random(506)
-        pools = {}
+        pools, listed = {}, {}
         for R in (MultSet([0, 1]), MultSet.parse("0,1/2,1"), MultSet.parse("0,2/3,1"), TWELVE_SET):
             pools[R] = list(phi_enumerate(R, 40))
+            listed[R] = walk_closure(R)
         checked = 0
         while checked < 10_000:
             R = rng.choice(list(pools))
@@ -304,8 +304,8 @@ def test_criterion_5g_diff_containment():
                 continue
             cert = diff_in_hyperstandard(R, eps, inp)
             assert cert.witness is not None or cert.in_tail
-            if cert.witness is not None:
-                assert cert.witness.r in closure(R)
+            w = cert.witness
+            assert (None if w is None else (w.r, w.m)) == least_r_witness(listed[R], cert.value)
             checked += 1
 
     _report("criterion 5g (adjunction multiplicities certified hyperstandard)", check)
@@ -313,8 +313,8 @@ def test_criterion_5g_diff_containment():
 
 def test_criterion_5h_shifted_lattice_grid():
     def check():
-        members = {n: set(r_n_set(TWELVE_SET, n).elements) for n in range(1, 13)}
         lattices = {n: r_n_set(TWELVE_SET, n) for n in range(1, 13)}
+        members = {n: set(lattices[n].elements) for n in lattices}
         cases = 0
         grid = shifted_lattice_grid(TWELVE_SET, range(1, 13), range(1, 13), range(1, 13))
         for n, r, m, k, mu, r_shift, d_o in grid:

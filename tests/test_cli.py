@@ -188,6 +188,8 @@ class TestJsonOutput:
         ("diff --n 2 --terms 1:1/2 --set 0,1 --eps 0", "3/4 (r=1, m=4)\n"),
         ("diff --n 3 --terms 1:9/11 --set 0,1 --eps 1/5 --json", '{"value":"31/33","witness":null,"in_tail":true}\n'),
         ("diff --n 3 --terms 1:9/11 --set 0,1 --eps 1/5", "31/33 (tail)\n"),
+        # 1 - d = 1/D with D = 97*89*83*79: the witness needs m = D/97, 583,573 steps of a scan over m
+        ("diff --n 1 --terms 1:56606580/56606581 --set 0,1/97,1/89,1/83,1/79,1", "56606580/56606581 (r=1/97, m=583573)\n"),
         ("kodaira --type IIstar --json", '{"d_P":"5/6"}\n'),
         ("ruled-moduli --e 1 --sections 1/2:0,1/2:1,1/2:1,1/2:1 --json", '{"degree":"1/2"}\n'),
         ("pair-discr --lambdas 1,15/16 --eps 1/8 --json", '{"sum":"31/16","bound_ok":false,"blowup_discrepancy":"-15/16"}\n'),
@@ -305,7 +307,13 @@ class TestExitCodes:
         assert (code, out, err) == (1, "", f"error: empty cap list: {caps!r}\n")
 
     @pytest.mark.parametrize(
-        "argv", [["closure"], ["rn", "--n", "2"], ["diff", "--n", "2", "--terms", "1:1/2"]]
+        "argv",
+        [
+            ["closure"],
+            ["rn", "--n", "2"],
+            ["diff", "--n", "2", "--terms", "1:1/2"],
+            ["closure", "--check-idempotent"],
+        ],
     )
     def test_closure_over_depth_budget(self, capsys, argv):
         code, out, err = invoke(capsys, *argv, "--set", "0,1000/1001,1")

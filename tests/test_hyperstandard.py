@@ -22,8 +22,12 @@ from complements import (
     r_n_set,
     r_prime,
 )
+from complements import hyperstandard
 from conftest import small_sets, unit_fractions
-from oracles import brute_closure, multiset_walk_oracle, pn_truncation_holds
+from oracles import (
+    brute_closure, closed_twice_is_closed, least_r_witness, multiset_walk_oracle,
+    pn_truncation_holds, walk_closure,
+)
 
 F = Fraction
 STANDARD = MultSet([0, 1])
@@ -180,6 +184,68 @@ class TestClosure:
         # restrictions of additive subgroups (1/k)Z are fixed points
         R = MultSet(F(j, k) for j in range(k + 1))
         assert closure(R) == R
+
+
+# the sets of the closure tests above
+CLOSURE_TEST_SETS = [
+    "0,1", "0,2/3,1", "0,1/2,1", "0,1/2,2/3,3/4,5/6,1", "1/5,1", "0,3/7,1/2,1", "0,199/200,1",
+    *(",".join(str(F(j, k)) for j in range(k + 1)) for k in range(3, 7)),  # k = 1, 2 are above
+    # costs 10, 11, 32 at scale 40: 22 = 11 + 11 is the least sum = 2 (mod 10),
+    # though 32 is reached with fewer parts
+    "1/5,29/40,3/4,1",
+]
+
+
+def random_small_closures(seed, count, max_size):
+    """Random sets whose closure has at most ``max_size`` values, as in
+    ``test_walk_matches_multiset_walk_oracle``."""
+    rng = random.Random(seed)
+    while count:
+        dens = [rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
+        R = MultSet(F(rng.randint(0, d), d) for d in dens)
+        if len(closure(R)) <= max_size:
+            yield R
+            count -= 1
+
+
+class TestCostMonoid:
+    @pytest.mark.parametrize("text", CLOSURE_TEST_SETS)
+    def test_membership_matches_closure(self, text):
+        R = MultSet(text.split(","))
+        costs = hyperstandard._cost_monoid(R)
+        D = costs.scale
+        once = set(closure(R).elements)
+        for x in range(D + 1):
+            member = any(t >= x and t - x in costs for t in costs.tops)
+            assert member == (F(x, D) in once), F(x, D)
+
+    def test_idempotent_matches_recomputation(self):
+        for R in random_small_closures("idempotent", 150, 16):
+            assert closure_is_idempotent(R) == closed_twice_is_closed(R), R
+
+    @pytest.mark.parametrize("change", ["add", "drop"])
+    def test_idempotence_check_catches_a_wrong_closure(self, monkeypatch, change):
+        # closure {0, 1/5, 3/5}; the value 1 costs nothing, so only the
+        # comparison with the generated values can reject it
+        R = MultSet.parse("0,3/5")
+        assert closure_is_idempotent(R)
+        wrong = {"add": MultSet.parse("0,1/5,3/5,1"), "drop": MultSet.parse("0,3/5")}[change]
+        monkeypatch.setattr(hyperstandard, "closure", lambda S: wrong)
+        assert not closure_is_idempotent(R)
+
+    def test_phi_witness_matches_least_r_over_closure(self):
+        rng = random.Random("closure-phi")
+        probes = 0
+        for R in random_small_closures("closure-phi", 100, 40):
+            values = walk_closure(R)
+            D = lcm_denominators(R)
+            for _ in range(20):
+                den = rng.choice([D, D * rng.randint(2, 5), rng.randint(1, 30)])
+                a = F(rng.randint(0, den - 1), den)
+                w = hyperstandard._closure_phi_witness(R, a)
+                assert (None if w is None else (w.r, w.m)) == least_r_witness(values, a), (R, a)
+                probes += w is not None
+        assert probes > 300
 
 
 class TestShiftLattices:
