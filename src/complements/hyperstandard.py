@@ -252,9 +252,11 @@ def closure_is_idempotent(R: MultSet) -> bool:
     at most t: by (1) again, a value of once.  (1) gives (2) as well, since
     ``D - vD = (D - t) + s`` with ``D - t`` a cost or 0, so (2) checks the
     membership test against the progressions.  Each check costs
-    O(|R| * |closure(R)|); recomputing closure(once) cost the square.
+    O(|R| * |closure(R)|); recomputing closure(once) cost the square.  The
+    values of once are read from the cached :func:`closure_elements`, which
+    a caller that has just built closure(R) has filled already.
     """
-    once = closure(R)
+    once = [e.value for e in closure_elements(R)]
     costs = _cost_monoid(R)
     D = costs.scale
     if any(D % v.denominator for v in once):

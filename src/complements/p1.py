@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -210,7 +209,22 @@ def scan_minimal_indices(
     output order (and hence every witness downstream) is canonical.  It
     runs in integers: the degree tests compare the values scaled to their
     common denominator, and each value's row of requirement numerators (one
-    per candidate index) is added to the running sums as it is pushed.
+    per candidate index n_j) is subtracted from the running state as it is
+    pushed.
+
+    The state packs one field per candidate into a single int.  With n_top
+    the largest candidate, ``W = (2*n_top + 2).bit_length() + 1`` and
+    ``bias = 2**(W-1)``, field j (at bit offset W*j) holds
+    ``2*n_j - sums_j + bias``, where sums_j is the requirement sum of the
+    boundary at n_j; a value's row is its requirements packed the same
+    way.  So the empty boundary starts at ``sum((2*n_j + bias) << W*j)`` and
+    a push is one int subtraction.  No field borrows from the next: every
+    pushed multiset has degree at most 2, and each requirement is at most
+    ``(n_j + 1) v``, so ``0 <= sums_j <= 2*n_j + 2`` and each field lies in
+    ``[bias - 2, bias + 2*n_j]``, inside ``[0, 2**W)`` since
+    ``2*n_j + 2 < bias``.  The field's top bit (its guard bit) is therefore
+    set exactly when ``sums_j <= 2*n_j``, when n_j admits a complement, and
+    the minimal index is the candidate of the lowest set guard bit.
 
     Each row is checked against the GEQ row ``ceil(n v)``, and the check
     always holds.  For v < 1 in phi(R) and I(R) | n, the lemma proven at
@@ -227,7 +241,17 @@ def scan_minimal_indices(
     unit = math.lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (unit // v.denominator) for v in values]
     two = 2 * unit
-    req_rows = []
+    width = (2 * candidates[-1] + 2).bit_length() + 1
+    bias = 1 << (width - 1)
+
+    def pack(fields: Iterable[int]) -> int:
+        out = 0
+        for f in reversed(list(fields)):
+            out = out << width | f
+        return out
+
+    guard = pack([bias] * len(candidates))
+    rows = []
     for v in values:
         p, q = v.numerator, v.denominator
         # DEFINITION: n at d = 1, floor((n+1) d) below it.
@@ -235,33 +259,28 @@ def scan_minimal_indices(
         # Self-check: on phi(R) inputs with I(R) | n it equals GEQ, ceil(n d).
         if row != [-(-n * p // q) for n in candidates]:
             raise AssertionError(f"variant mismatch at multiplicity {v}")
-        req_rows.append(row)
-    caps = [2 * n for n in candidates]
-    width = len(candidates)
+        rows.append(pack(row))
 
-    def min_index(sums: list[int]) -> int | None:
-        for j in range(width):
-            if sums[j] <= caps[j]:
-                return candidates[j]
-        return None
+    def min_index(packed: int) -> int | None:
+        g = packed & guard
+        return candidates[(g & -g).bit_length() // width - 1] if g else None
 
-    add = operator.add
     mults: list[Fraction] = []
-    # One (value index, degree, sums) per pushed value, to resume from.
-    stack: list[tuple[int, int, list[int]]] = []
-    i, total, sums = 0, 0, [0] * width
-    yield (), min_index(sums)
+    # One (value index, degree, packed state) per pushed value, to resume from.
+    stack: list[tuple[int, int, int]] = []
+    i, total, packed = 0, 0, pack(2 * n + bias for n in candidates)
+    yield (), min_index(packed)
     while True:
         if i < len(values) and total + scaled[i] <= two:
-            stack.append((i, total, sums))
+            stack.append((i, total, packed))
             mults.append(values[i])
             total += scaled[i]
-            sums = list(map(add, sums, req_rows[i]))
+            packed -= rows[i]
             # Values are pushed in non-decreasing order: values[i] is the largest.
             if total == two or scaled[i] < unit:
-                yield tuple(mults), min_index(sums)
+                yield tuple(mults), min_index(packed)
         elif stack:
-            i, total, sums = stack.pop()
+            i, total, packed = stack.pop()
             mults.pop()
             i += 1
         else:

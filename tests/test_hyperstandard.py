@@ -229,8 +229,9 @@ class TestCostMonoid:
         # comparison with the generated values can reject it
         R = MultSet.parse("0,3/5")
         assert closure_is_idempotent(R)
-        wrong = {"add": MultSet.parse("0,1/5,3/5,1"), "drop": MultSet.parse("0,3/5")}[change]
-        monkeypatch.setattr(hyperstandard, "closure", lambda S: wrong)
+        values = {"add": "0,1/5,3/5,1", "drop": "0,3/5"}[change]
+        wrong = tuple(hyperstandard.ClosureElement(v, v, 1, ()) for v in MultSet.parse(values))
+        monkeypatch.setattr(hyperstandard, "closure_elements", lambda S: wrong)
         assert not closure_is_idempotent(R)
 
     def test_phi_witness_matches_least_r_over_closure(self):

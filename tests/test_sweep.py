@@ -67,6 +67,16 @@ class TestIntegerWalk:
             (MultSet([0, 1]), 20, 5, None),  # some boundaries have no index
             (TWELVE_SET, 12, 200, None),
             (TWELVE_SET, 48, 200, 26869),
+            # The packed fields.  I = 1 packs the most of them, and their width
+            # grows by a bit where 2 * n_max + 2 reaches 64 (n_max 31) and 128
+            # (n_max 63).  At odd n, (1/2, 1/2, 1/2, 1/2) needs 2n + 2, so its
+            # field sits at bias - 2, the least a field takes.
+            *((MultSet([0, 1]), 14, n_max, 127) for n_max in (30, 31, 62, 63, 64)),
+            # I = 2: (1/2, 1/2, 1/2, 1/2) needs exactly 2n, so its field sits at
+            # bias, the least with the guard bit set; at n = 2 (mod 3) (2/3, 2/3,
+            # 2/3) needs 2n + 2.  With the one candidate n = 2 (n_max 2, 3) the
+            # empty boundary's field, bias + 4, needs every bit of the width.
+            *((MultSet([0, F(1, 2), 1]), 8, n_max, 98) for n_max in (2, 3, 31, 63)),
         ],
     )
     def test_matches_fraction_walk(self, R, m_max, n_max, size):
